@@ -19,10 +19,7 @@ from .algebra import (
     AlgebraSpec,
     AlgElement,
     free_spec,
-    from_terms,
-    inverse_unit,
     m_spec,
-    mul,
     one,
     power,
     quat_spec,

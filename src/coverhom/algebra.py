@@ -23,6 +23,7 @@ pair.  Elements are immutable once built and every operation is pure, so
 values can be shared freely between concurrent workers.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, NotAUnit, SpecMismatch
@@ -50,7 +51,9 @@ class AlgebraSpec:
     the number of word generators (quat always has the two variables A, B).
 
     The truncation degree is D = r^k: monomials of higher total degree
-    are zero.
+    are zero.  The spec is the one place that knows how its kind spells a
+    monomial: the key of 1, the degree, the sort order, the JSON form and
+    the word adjacency rule.
     """
 
     kind: str
@@ -80,11 +83,37 @@ class AlgebraSpec:
         """Truncation degree D = r^k."""
         return self.r ** self.k
 
+    # -- the per-kind monomial format ----------------------------------
+
     @property
-    def genus(self) -> int:
-        if self.kind != "m":
-            raise InvalidConfig("genus is defined for the m kind only")
-        return self.ngens // 2
+    def one_mono(self):
+        """The monomial key of 1."""
+        return (0, 0, 0) if self.kind == "quat" else b""
+
+    @property
+    def degree(self):
+        """Total degree of a monomial key, as a function: the builtin
+        ``len`` for the word kinds, so degree loops stay at C speed."""
+        return (lambda m: m[0] + m[1]) if self.kind == "quat" else len
+
+    @property
+    def order_key(self):
+        """Graded-lex sort key of a monomial key, as a function."""
+        if self.kind == "quat":
+            return lambda m: (m[0] + m[1], m[1], m[2])
+        return lambda m: (len(m), m)
+
+    def mono_key(self, mono):
+        """Monomial key from its JSON list form."""
+        return tuple(mono) if self.kind == "quat" else bytes(mono)
+
+    def adjacent_ok(self, a: int, b: int) -> bool:
+        """Whether generator b may directly follow generator a in a word."""
+        if self.kind == "sorted":
+            return a <= b
+        if self.kind == "m":
+            return a ^ 1 != b  # the partner of index t is t ^ 1
+        return True
 
     def gen_name(self, i: int) -> str:
         if self.kind == "quat":
@@ -112,12 +141,6 @@ def quat_spec(r: int, k: int) -> AlgebraSpec:
     return AlgebraSpec("quat", r, k, 2)
 
 
-def monomial_degree(spec: AlgebraSpec, mono) -> int:
-    if spec.kind == "quat":
-        return mono[0] + mono[1]
-    return len(mono)
-
-
 def monomial_ok(spec: AlgebraSpec, mono) -> bool:
     """Admissibility of a single monomial under the spec's relations."""
     cap = spec.cap
@@ -128,11 +151,7 @@ def monomial_ok(spec: AlgebraSpec, mono) -> bool:
         return False
     if any(c >= spec.ngens for c in mono):
         return False
-    if spec.kind == "sorted":
-        return all(mono[t] <= mono[t + 1] for t in range(len(mono) - 1))
-    if spec.kind == "m":
-        return all(mono[t] ^ 1 != mono[t + 1] for t in range(len(mono) - 1))
-    return True
+    return all(spec.adjacent_ok(a, b) for a, b in zip(mono, mono[1:]))
 
 
 def count_basis_monomials(spec: AlgebraSpec) -> int:
@@ -143,8 +162,6 @@ def count_basis_monomials(spec: AlgebraSpec) -> int:
     if spec.kind == "free":
         return sum(n ** length for length in range(cap + 1))
     if spec.kind == "sorted":
-        import math
-
         return sum(math.comb(n + length - 1, length) for length in range(cap + 1))
     # m kind: first symbol free, then anything but the previous partner
     return 1 + sum(n * (n - 1) ** (length - 1) for length in range(1, cap + 1))
@@ -161,30 +178,18 @@ def iter_basis_monomials(spec: AlgebraSpec):
                 for unit in range(4):
                     yield (u, v, unit)
         return
-    layer = [b""]
-    yield b""
+    layer = [spec.one_mono]
+    yield spec.one_mono
     for _ in range(spec.cap):
         nxt = []
         for mono in layer:
             for g in range(spec.ngens):
-                if mono:
-                    last = mono[-1]
-                    if spec.kind == "sorted" and g < last:
-                        continue
-                    if spec.kind == "m" and g == last ^ 1:
-                        continue
+                if mono and not spec.adjacent_ok(mono[-1], g):
+                    continue
                 ext = mono + bytes([g])
                 nxt.append(ext)
                 yield ext
         layer = nxt
-
-
-def _word_order_key(mono):
-    return (len(mono), mono)
-
-
-def _quat_order_key(mono):
-    return (mono[0] + mono[1], mono[1], mono[2])
 
 
 def _mul_word_terms(kind, cap, aterms, bterms):
@@ -254,12 +259,19 @@ def _mul_quat_terms(cap, aterms, bterms):
     return out
 
 
+def _mul_terms(spec, aterms, bterms):
+    """Unreduced product of two term maps, by the spec's kernel."""
+    if spec.kind == "quat":
+        return _mul_quat_terms(spec.cap, aterms, bterms)
+    return _mul_word_terms(spec.kind, spec.cap, aterms, bterms)
+
+
 class AlgElement:
     """A sparse element of a truncated algebra.
 
-    ``terms`` maps monomial keys to coefficients in [1, r).  Use the
-    module helpers (:func:`one`, :func:`symbol`, :func:`from_terms`) to
-    build elements; arithmetic goes through the overloaded operators.
+    ``terms`` maps monomial keys to coefficients in [1, r).  Build
+    elements with :func:`one`, :func:`symbol` or ``AlgElement(spec,
+    terms)``; arithmetic goes through the overloaded operators.
     """
 
     __slots__ = ("spec", "terms", "_key")
@@ -268,10 +280,8 @@ class AlgElement:
         if not _validated:
             reduced = {}
             for mono, coeff in terms.items():
-                if spec.kind != "quat" and isinstance(mono, (tuple, list)):
-                    mono = bytes(mono)
-                if spec.kind == "quat" and isinstance(mono, list):
-                    mono = tuple(mono)
+                if isinstance(mono, tuple):
+                    mono = spec.mono_key(mono)
                 if not monomial_ok(spec, mono):
                     raise InvalidConfig(f"monomial {mono!r} not admissible for {spec}")
                 c = coeff % spec.r
@@ -298,8 +308,7 @@ class AlgElement:
 
     @classmethod
     def one(cls, spec):
-        mono = (0, 0, 0) if spec.kind == "quat" else b""
-        return cls._raw(spec, {mono: 1})
+        return cls._raw(spec, {spec.one_mono: 1})
 
     @classmethod
     def symbol(cls, spec, i):
@@ -325,8 +334,7 @@ class AlgElement:
             c = other % self.spec.r
             if not c:
                 return AlgElement.zero(self.spec)
-            mono = (0, 0, 0) if self.spec.kind == "quat" else b""
-            return AlgElement._raw(self.spec, {mono: c})
+            return AlgElement._raw(self.spec, {self.spec.one_mono: c})
         return None
 
     def __add__(self, other):
@@ -371,10 +379,7 @@ class AlgElement:
         if other is None:
             return NotImplemented
         spec = self.spec
-        if spec.kind == "quat":
-            raw = _mul_quat_terms(spec.cap, self.terms, other.terms)
-        else:
-            raw = _mul_word_terms(spec.kind, spec.cap, self.terms, other.terms)
+        raw = _mul_terms(spec, self.terms, other.terms)
         r = spec.r
         out = {}
         for mono, c in raw.items():
@@ -408,8 +413,7 @@ class AlgElement:
 
     def augmentation(self) -> int:
         """Constant term."""
-        mono = (0, 0, 0) if self.spec.kind == "quat" else b""
-        return self.terms.get(mono, 0)
+        return self.terms.get(self.spec.one_mono, 0)
 
     def linear_coeffs(self):
         """Degree-1 coefficient vector in fixed generator order.
@@ -426,20 +430,15 @@ class AlgElement:
 
     def graded_part(self, degree: int):
         """The homogeneous component of the given total degree."""
-        spec = self.spec
-        if spec.kind == "quat":
-            sel = {m: c for m, c in self.terms.items() if m[0] + m[1] == degree}
-        else:
-            sel = {m: c for m, c in self.terms.items() if len(m) == degree}
-        return AlgElement._raw(spec, sel)
+        deg = self.spec.degree
+        sel = {m: c for m, c in self.terms.items() if deg(m) == degree}
+        return AlgElement._raw(self.spec, sel)
 
     def min_degree(self):
         """Minimal degree with a nonzero term, or None for the zero element."""
         if not self.terms:
             return None
-        if self.spec.kind == "quat":
-            return min(m[0] + m[1] for m in self.terms)
-        return min(len(m) for m in self.terms)
+        return min(map(self.spec.degree, self.terms))
 
     def is_unit_element(self) -> bool:
         """In the group 1 + (positive degree): the degree-0 part is exactly 1.
@@ -459,16 +458,13 @@ class AlgElement:
         spec = self.spec
         if not self.is_unit_element():
             raise NotAUnit("inverse_unit needs degree-0 part exactly 1")
-        r, cap, kind = spec.r, spec.cap, spec.kind
-        quat = kind == "quat"
-        deg = (lambda m: m[0] + m[1]) if quat else len
+        r, cap, deg = spec.r, spec.cap, spec.degree
         u_by_deg = {}
         for mono, c in self.terms.items():
             d = deg(mono)
             if d:
                 u_by_deg.setdefault(d, {})[mono] = c
-        one_mono = (0, 0, 0) if quat else b""
-        b_by_deg = {0: {one_mono: 1}}
+        b_by_deg = {0: {spec.one_mono: 1}}
         for d in range(1, cap + 1):
             acc = {}
             for e, upart in u_by_deg.items():
@@ -477,10 +473,7 @@ class AlgElement:
                 bpart = b_by_deg.get(d - e)
                 if not bpart:
                     continue
-                if quat:
-                    piece = _mul_quat_terms(cap, upart, bpart)
-                else:
-                    piece = _mul_word_terms(kind, cap, upart, bpart)
+                piece = _mul_terms(spec, upart, bpart)
                 for mono, c in piece.items():
                     acc[mono] = acc.get(mono, 0) + c
             layer = {}
@@ -499,7 +492,7 @@ class AlgElement:
 
     def canonical_items(self):
         """Terms sorted in graded-lex monomial order."""
-        key = _quat_order_key if self.spec.kind == "quat" else _word_order_key
+        key = self.spec.order_key
         return sorted(self.terms.items(), key=lambda item: key(item[0]))
 
     def canonical_key(self):
@@ -573,11 +566,7 @@ class AlgElement:
 
     @classmethod
     def from_dict(cls, spec, data):
-        terms = {}
-        for mono, coeff in data["monomials"]:
-            key = tuple(mono) if spec.kind == "quat" else bytes(mono)
-            terms[key] = coeff
-        return cls(spec, terms)
+        return cls(spec, {spec.mono_key(m): c for m, c in data["monomials"]})
 
     def __getstate__(self):
         return (self.spec, self.terms)
@@ -602,32 +591,8 @@ def symbol(spec, i) -> AlgElement:
     return AlgElement.symbol(spec, i)
 
 
-def from_terms(spec, terms) -> AlgElement:
-    return AlgElement(spec, terms)
-
-
 def quat_term(spec, u, v, unit, coeff=1) -> AlgElement:
     return AlgElement(spec, {(u, v, unit): coeff})
-
-
-def mul(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b
-
-
-def inverse_unit(a: AlgElement) -> AlgElement:
-    return a.inverse_unit()
-
-
-def augmentation(a: AlgElement) -> int:
-    return a.augmentation()
-
-
-def linear_part(a: AlgElement):
-    return a.linear_coeffs()
-
-
-def graded_part(a: AlgElement, degree: int) -> AlgElement:
-    return a.graded_part(degree)
 
 
 def power(a: AlgElement, e: int) -> AlgElement:
@@ -659,33 +624,17 @@ def power(a: AlgElement, e: int) -> AlgElement:
         base = base * base
 
 
-def random_element(spec, rng, max_terms=6, unit=None, dense=False):
-    """Random sparse element; ``unit=True`` forces constant term 1.
-
-    ``dense=True`` draws a coefficient for every basis monomial and is
-    only sensible for small algebras.
-    """
-    r, cap = spec.r, spec.cap
+def random_element(spec, rng, max_terms=6, unit=False):
+    """Random sparse element; ``unit=True`` puts it in 1 + (positive degree)."""
     terms = {}
-    if dense:
-        for mono in iter_basis_monomials(spec):
-            c = rng.randrange(r)
-            if c:
-                terms[mono] = c
-    else:
-        for _ in range(max_terms):
-            mono = _random_monomial(spec, rng)
-            if mono is not None:
-                terms[mono] = rng.randrange(1, r)
-    one_mono = (0, 0, 0) if spec.kind == "quat" else b""
-    if unit is True:
-        # members of 1 + (positive degree): no other degree-0 components
-        for mono in list(terms):
-            if monomial_degree(spec, mono) == 0:
-                del terms[mono]
-        terms[one_mono] = 1
-    elif unit is False:
-        terms.pop(one_mono, None)
+    for _ in range(max_terms):
+        mono = _random_monomial(spec, rng)
+        terms[mono] = rng.randrange(1, spec.r)
+    if unit:
+        # no degree-0 components other than the constant 1
+        deg = spec.degree
+        terms = {m: c for m, c in terms.items() if deg(m)}
+        terms[spec.one_mono] = 1
     return AlgElement._raw(spec, terms)
 
 
@@ -701,7 +650,7 @@ def _random_monomial(spec, rng):
     out = []
     for _ in range(length):
         g = rng.randrange(spec.ngens)
-        if spec.kind == "m" and out and g == out[-1] ^ 1:
-            g ^= 1  # partner would be killed; use the admissible twin
+        if out and not spec.adjacent_ok(out[-1], g):
+            g ^= 1  # m kind: the partner would be killed; use the admissible twin
         out.append(g)
     return bytes(out)

@@ -13,6 +13,7 @@ carries the counterexample), 2 invalid configuration or a size guard.
 import argparse
 import json
 import os
+import random
 import sys
 import time
 
@@ -87,6 +88,39 @@ def _finish(args, command, config, checks):
     }
     _emit(report, args.out)
     return 1 if any(c["status"] == "fail" for c in checks) else 0
+
+
+def _load_quotient(path):
+    try:
+        with open(path) as fh:
+            return quotient_from_json(json.load(fh))
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise InvalidConfig(f"bad quotient file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def orbit_rank(cover, predicate, max_len, seed, guard_dim, vertices=None,
+               require_proper=False, **details):
+    """The orbit-span check: rank of the elevation classes of the words of
+    length <= max_len passing the predicate, based at the given vertices
+    (all of them when None).  With require_proper a full rank fails; the
+    keyword ``details`` are added to the record's details."""
+    dim = cover.dim_h1(seed)
+    if dim > guard_dim:
+        raise TooLarge(f"dim H1 = {dim} exceeds --guard-dim {guard_dim}")
+    rank, _ = orbit_span_rank(cover, predicate, max_len, basepoints=vertices, seed=seed)
+    if require_proper and rank >= dim:
+        raise PropertyViolation(f"sampled d-primitive span has full rank {rank} = dim H1")
+    return {
+        "name": "orbit-span",
+        "status": "pass",
+        "details": {
+            "rank": rank,
+            "dim_h1": dim,
+            "max_word_len": max_len,
+            "proper_subspace": rank < dim,
+            **details,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +219,7 @@ def cmd_verify_surface(args):
 
 
 def cmd_cover_report(args):
-    with open(args.quotient) as fh:
-        quotient = quotient_from_json(json.load(fh))
+    quotient = _load_quotient(args.quotient)
     cover = build_cover(quotient, guard_vertices=args.guard_vertices)
     checks = []
     _timed(checks, gaschutz_check, cover, args.seed)
@@ -194,30 +227,11 @@ def cmd_cover_report(args):
         if args.orbit == "d-primitive":
             predicate = d_primitive_predicate(args.d)
         elif args.orbit == "theta-nonkernel":
-            with open(args.theta) as fh:
-                predicate = nonkernel_predicate(quotient_from_json(json.load(fh)))
+            predicate = nonkernel_predicate(_load_quotient(args.theta))
         else:
             predicate = lambda word: True
-
-        def orbit_rank():
-            if cover.dim_h1(args.seed) > args.guard_dim:
-                raise TooLarge(
-                    f"dim H1 = {cover.dim_h1(args.seed)} exceeds --guard-dim {args.guard_dim}"
-                )
-            rank, dim = orbit_span_rank(cover, predicate, args.max_word_len, seed=args.seed)
-            return {
-                "name": "orbit-span",
-                "status": "pass",
-                "details": {
-                    "orbit": args.orbit,
-                    "max_word_len": args.max_word_len,
-                    "rank": rank,
-                    "dim_h1": dim,
-                    "proper_subspace": rank < dim,
-                },
-            }
-
-        _timed(checks, orbit_rank)
+        _timed(checks, orbit_rank, cover, predicate, args.max_word_len, args.seed,
+               args.guard_dim, orbit=args.orbit)
     config = {
         "quotient": args.quotient,
         "orbit": args.orbit,
@@ -229,8 +243,6 @@ def cmd_cover_report(args):
 
 
 def cmd_witness_e2e(args):
-    if args.d is not None and args.d != args.r:
-        raise InvalidConfig("the end-to-end pipeline runs one prime at a time; d = r")
     bundle = assemble_witness_free(args.r, args.n, args.k, args.variant)
     checks = []
     _timed(
@@ -255,44 +267,13 @@ def cmd_witness_e2e(args):
         seed=args.seed,
     )
     if args.orbit_rank:
-        import random
-
-        from .covers import d_primitive_predicate, orbit_span_rank
-
-        def orbit_rank():
-            if cover.dim_h1(args.seed) > args.guard_dim:
-                raise TooLarge(
-                    f"dim H1 = {cover.dim_h1(args.seed)} exceeds --guard-dim {args.guard_dim}"
-                )
-            rng = random.Random(args.seed)
-            basepoints = [0] + [
-                rng.randrange(cover.n_vertices)
-                for _ in range(args.orbit_basepoints - 1)
-            ]
-            rank, dim = orbit_span_rank(
-                cover,
-                d_primitive_predicate(args.r),
-                args.orbit_word_len,
-                basepoints=basepoints,
-                seed=args.seed,
-            )
-            if rank >= dim:
-                raise PropertyViolation(
-                    f"sampled d-primitive span has full rank {rank} = dim H1"
-                )
-            return {
-                "name": "orbit-span",
-                "status": "pass",
-                "details": {
-                    "rank": rank,
-                    "dim_h1": dim,
-                    "basepoints": len(basepoints),
-                    "max_word_len": args.orbit_word_len,
-                    "proper_subspace": True,
-                },
-            }
-
-        _timed(checks, orbit_rank)
+        rng = random.Random(args.seed)
+        basepoints = [0] + [
+            rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
+        ]
+        _timed(checks, orbit_rank, cover, d_primitive_predicate(args.r), args.orbit_word_len,
+               args.seed, args.guard_dim, vertices=basepoints, require_proper=True,
+               basepoints=len(basepoints))
     if record is not None:
         checks.append(
             {
@@ -416,7 +397,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--variant", choices=("full", "sorted"), default="sorted")
-    p.add_argument("--d", type=int, default=None)
     p.add_argument("--max-word-len", type=int, default=6)
     p.add_argument("--basepoint-samples", type=int, default=5)
     p.add_argument("--orbit-rank", action="store_true",

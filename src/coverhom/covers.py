@@ -25,13 +25,14 @@ exact, in the power basis of Z[omega] modulo the d-th cyclotomic
 polynomial.
 """
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgElement
+from .algebra import AlgebraSpec, AlgElement
 from .errors import InvalidConfig, PropertyViolation, TooLarge
 from .units import in_central_subgroup
 from .witness import (
@@ -106,8 +107,8 @@ class UnitImage:
     __slots__ = ("elem",)
 
     def __init__(self, elem: AlgElement):
-        if elem.augmentation() != 1:
-            raise InvalidConfig("cover images must be units with constant term 1")
+        if not elem.is_unit_element():
+            raise InvalidConfig("cover images must be units with degree-0 part 1")
         self.elem = elem
 
     def mul(self, other):
@@ -211,8 +212,6 @@ def quotient_from_json(data) -> FiniteQuotient:
         mod = data["mod"]
         images = [ResidueImage(v, mod) for v in data["images"]]
     elif itype == "unit":
-        from .algebra import AlgebraSpec
-
         a = data["algebra"]
         spec = AlgebraSpec(a["kind"], a["r"], a["k"], a["ngens"])
         images = [UnitImage(AlgElement.from_dict(spec, e)) for e in data["images"]]
@@ -526,8 +525,6 @@ def rank_over_rationals(rows, ncols, seed: int = 0) -> int:
     rows = [row for row in rows if row]
     if not rows or ncols == 0:
         return 0
-    import random
-
     pool = _rank_primes()
     rng = random.Random(seed)
     p1, p2 = rng.sample(pool, 2)
@@ -627,9 +624,9 @@ def orbit_span_rank(
     dim = cover.dim_h1(seed)
     boundaries = cover.boundary_rows()
     if boundaries:
-        base = rank_over_rationals(boundaries, cover.cycle_rank, seed)
         total = rank_over_rationals(boundaries + rows, cover.cycle_rank, seed)
-        rank = total - base
+        # dim_h1 already ranked the boundaries: their rank is cycle_rank - dim
+        rank = total - (cover.cycle_rank - dim)
     else:
         rank = rank_over_rationals(rows, cover.cycle_rank, seed)
     return rank, dim
@@ -803,8 +800,6 @@ def isotypic_projection_check(
     Together these certify that the d-primitive classes span a proper
     subspace of H_1 of the cover.
     """
-    import random
-
     rng = random.Random(seed)
     proj = IsotypicProjector(cover, bundle)
     d = bundle.modulus
@@ -869,8 +864,6 @@ def isotypic_projection_check(
 def isotypic_invariants(cover, bundle, samples: int = 5, seed: int = 0) -> dict:
     """Idempotence (S^2 = |C| S) and commutation with the deck action on
     random sparse integer vectors."""
-    import random
-
     rng = random.Random(seed)
     proj = IsotypicProjector(cover, bundle)
     order = proj.central_order

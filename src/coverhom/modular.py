@@ -27,14 +27,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_prime(r: int, allow_two: bool = False) -> int:
-    if not is_prime(r):
-        raise InvalidConfig(f"{r} is not prime")
-    if r == 2 and not allow_two:
-        raise InvalidConfig("r = 2 is only supported by the free-group constructions")
-    return r
-
-
 def ff_inv(a: int, r: int) -> int:
     """Inverse of a in F_r.  Raises DivisionByZero on a = 0."""
     if a % r == 0:

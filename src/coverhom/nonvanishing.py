@@ -169,10 +169,6 @@ class Poly:
                 parts.append(f"{coeff}*{body}" if vars_ else str(coeff))
         return " + ".join(parts)
 
-    def to_dict(self):
-        items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        return {"nvars": self.nvars, "r": self.r, "terms": [[list(e), c] for e, c in items]}
-
 
 def minimal_k(r: int, n: int) -> int:
     """Smallest k >= 1 with r^k > (n-1)(r-1)."""

@@ -18,9 +18,10 @@ readable off the top-degree slice.
 """
 
 import itertools
+import random
 from dataclasses import dataclass
 
-from .algebra import AlgElement, AlgebraSpec, monomial_degree, monomial_ok, power, symbol
+from .algebra import AlgElement, AlgebraSpec, monomial_ok, power, random_element, symbol
 from .errors import (
     InvalidConfig,
     NotInC,
@@ -70,7 +71,7 @@ class CentralCharacter:
         for mono, weight in self.items:
             if not monomial_ok(self.spec, mono):
                 raise InvalidConfig(f"monomial {mono!r} not admissible")
-            if monomial_degree(self.spec, mono) != self.spec.cap:
+            if self.spec.degree(mono) != self.spec.cap:
                 raise InvalidConfig(f"monomial {mono!r} is not of top degree")
             if not 0 < weight < self.spec.r:
                 raise InvalidConfig(f"weight {weight} out of range")
@@ -150,7 +151,8 @@ def character_from_poly(spec: AlgebraSpec, poly: Poly) -> CentralCharacter:
     for expo, coeff in poly.terms.items():
         word = character_for_monomial(expo, spec)
         items.append((word, coeff))
-    items.sort(key=lambda it: (len(it[0]), it[0]))
+    order = spec.order_key
+    items.sort(key=lambda it: order(it[0]))
     return CentralCharacter(spec, tuple(items))
 
 
@@ -183,8 +185,6 @@ def verify_power_character(
     draws random sparse units.  Raises PropertyViolation with the
     offending unit on failure.
     """
-    from .algebra import random_element
-
     chi = character_from_poly(spec, poly)
     e = spec.cap
     tested = 0
@@ -217,8 +217,6 @@ def verify_power_character(
             classes += 1
     if samples:
         if rng is None:
-            import random
-
             rng = random.Random(seed)
         for _ in range(samples):
             g = random_element(spec, rng, max_terms=rng.randrange(1, 8), unit=True)

@@ -21,12 +21,14 @@ Z/d with exponent e = sum q_i r_i^k.
 import itertools
 import math
 import multiprocessing
+import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .algebra import (
     AlgElement,
     AlgebraSpec,
+    count_basis_monomials,
     free_spec,
     m_spec,
     one,
@@ -141,10 +143,6 @@ class GroupWord:
         return ".".join(bits)
 
 
-def identity_word(alphabet: Alphabet) -> GroupWord:
-    return GroupWord(alphabet, ())
-
-
 def generator_word(alphabet: Alphabet, i: int) -> GroupWord:
     return GroupWord(alphabet, (i + 1,))
 
@@ -168,14 +166,12 @@ def surface_relator(genus: int) -> GroupWord:
     return GroupWord(alphabet, tuple(letters))
 
 
-def reduced_words(alphabet: Alphabet, max_len: int, include_empty=False):
+def reduced_words(alphabet: Alphabet, max_len: int):
     """All freely reduced words of length <= max_len, by length then
     lexicographically in the fixed letter order x1, x1^-1, x2, ..."""
     order = []
     for i in range(1, alphabet.ngens + 1):
         order += [i, -i]
-    if include_empty:
-        yield identity_word(alphabet)
     layer = [()]
     for _ in range(max_len):
         nxt = []
@@ -189,11 +185,11 @@ def reduced_words(alphabet: Alphabet, max_len: int, include_empty=False):
         layer = nxt
 
 
-def random_word(alphabet: Alphabet, rng, length: int, inverses=True) -> GroupWord:
+def random_word(alphabet: Alphabet, rng, length: int) -> GroupWord:
     letters = []
     for _ in range(length):
         letter = rng.randrange(1, alphabet.ngens + 1)
-        if inverses and rng.randrange(2):
+        if rng.randrange(2):
             letter = -letter
         letters.append(letter)
     return GroupWord(alphabet, tuple(letters))
@@ -455,27 +451,6 @@ class WitnessBundle:
             total += comp.q * comp.poly.evaluate([a % comp.r for a in alpha_ints])
         return total % d
 
-    def describe(self) -> dict:
-        comps = []
-        for comp in self.components:
-            facs = []
-            for f in comp.factors:
-                entry = {"kind": f.spec.kind, "chi": f.chi.render()}
-                if isinstance(f, QuatFactor):
-                    entry.update(pair=f.pair, swapped=f.swapped, weight=f.weight, sign=f.sign)
-                facs.append(entry)
-            comps.append(
-                {"r": comp.r, "k": comp.k, "q": comp.q, "poly": comp.poly.render(), "factors": facs}
-            )
-        return {
-            "domain": self.domain,
-            "variant": self.variant,
-            "rank": self.rank,
-            "modulus": self.modulus,
-            "exponent": self.exponent,
-            "components": comps,
-        }
-
 
 def assemble_witness_free(r: int, n: int, k: int | None = None, variant: str = "full") -> WitnessBundle:
     """Free witness: one Magnus factor over the free or sorted algebra."""
@@ -652,10 +627,6 @@ def verify_witness(
     in the truncation, so a sweep over a factor with more than
     ``monomial_guard`` basis monomials would exhaust memory.
     """
-    import random
-
-    from .algebra import count_basis_monomials
-
     for comp in bundle.components:
         for f in comp.factors:
             if isinstance(f, MagnusFactor):
@@ -720,8 +691,6 @@ def verify_witness(
 def verify_quat_power_identity(r: int, k: int, samples: int = 1000, seed: int = 0) -> dict:
     """The A^(D-1) B j coefficient of g^D equals the fixed sign times the
     unsigned polynomial at the abelianisation, for random genus-2 words."""
-    import random
-
     spec = quat_spec(r, k)
     cap = spec.cap
     sign = quat_sign(r, k)

@@ -139,3 +139,30 @@ def test_witness_e2e_orbit_rank_guard(capsys):
          "--orbit-rank", "--orbit-word-len", "3", "--guard-dim", "10"]
     )
     assert code == 2
+
+
+def _bad_quotient_exit(tmp_path, text):
+    quot = tmp_path / "q.json"
+    quot.write_text(text)
+    return main(["cover-report", "--quotient", str(quot)])
+
+
+def test_quotient_non_unit_quat_image_exits_two(tmp_path, capsys):
+    # 1 + i has constant term 1 but its degree-0 part is not 1
+    quotient = {
+        "domain": "free",
+        "rank": 1,
+        "type": "unit",
+        "algebra": {"kind": "quat", "r": 3, "k": 1, "ngens": 2},
+        "images": [{"monomials": [[[0, 0, 0], 1], [[0, 0, 1], 1]]}],
+    }
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+
+
+def test_quotient_not_json_exits_two(tmp_path, capsys):
+    assert _bad_quotient_exit(tmp_path, "not json {") == 2
+
+
+def test_quotient_missing_key_exits_two(tmp_path, capsys):
+    quotient = {"domain": "free", "type": "residue", "mod": 3, "images": [[1], [0]]}
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
