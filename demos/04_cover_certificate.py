@@ -49,7 +49,7 @@ image = proj.apply_int(vec)
 print("projector image of that class:", "zero" if not image else "nonzero")
 
 t0 = time.time()
-record = isotypic_projection_check(cover, bundle, max_word_len=4, seed=1)
+record = isotypic_projection_check(proj, max_word_len=4, seed=1)
 d = record["details"]
 print(f"\nall {d['words_annihilated']} 3-primitive words of length <= 4 killed; "
       f"projector nonzero on H1 (cycle {d['h1_witness_cycle']}) "

@@ -18,6 +18,7 @@ import sys
 import time
 
 from .covers import (
+    IsotypicProjector,
     build_cover,
     d_primitive_predicate,
     gaschutz_check,
@@ -94,7 +95,7 @@ def _load_quotient(path):
     try:
         with open(path) as fh:
             return quotient_from_json(json.load(fh))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InvalidConfig(f"bad quotient file {path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -256,16 +257,17 @@ def cmd_witness_e2e(args):
     quotient = quotient_from_bundle(bundle)
     cover = build_cover(quotient, guard_vertices=args.guard_vertices)
     _timed(checks, gaschutz_check, cover, args.seed)
-    _timed(checks, isotypic_invariants, cover, bundle, samples=3, seed=args.seed)
+    proj = IsotypicProjector(cover, bundle)
+    _timed(checks, isotypic_invariants, proj, samples=3, seed=args.seed)
     record = _timed(
         checks,
         isotypic_projection_check,
-        cover,
-        bundle,
+        proj,
         max_word_len=args.max_word_len,
         basepoint_samples=args.basepoint_samples,
         seed=args.seed,
     )
+    del proj  # free the (|C|, V) permutation array before the dense orbit rank
     if args.orbit_rank:
         rng = random.Random(args.seed)
         basepoints = [0] + [

@@ -240,6 +240,7 @@ class CoverComplex:
     _left_perms: list = field(default=None, repr=False)
     _boundary_rows: list = field(default=None, repr=False)
     _dim_h1: int = field(default=None, repr=False)
+    _orders: dict = field(default_factory=dict, repr=False)
 
     @property
     def alphabet(self):
@@ -451,20 +452,13 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
 # exact rank
 
 
-@lru_cache(maxsize=1)
-def _rank_primes():
-    out = []
-    n = 2 ** 31 - 1
-    while len(out) < 16:
-        f, isp = 3, n % 2 == 1
-        while isp and f * f <= n:
-            if n % f == 0:
-                isp = False
-            f += 2
-        if isp:
-            out.append(n)
-        n -= 2
-    return tuple(out)
+# the 16 largest primes below 2^31
+_RANK_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579,
+    2147483563, 2147483549, 2147483543, 2147483497,
+    2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249,
+)
 
 
 def _rank_mod_p(rows, ncols, p):
@@ -525,9 +519,8 @@ def rank_over_rationals(rows, ncols, seed: int = 0) -> int:
     rows = [row for row in rows if row]
     if not rows or ncols == 0:
         return 0
-    pool = _rank_primes()
     rng = random.Random(seed)
-    p1, p2 = rng.sample(pool, 2)
+    p1, p2 = rng.sample(_RANK_PRIMES, 2)
     r1 = _rank_mod_p(rows, ncols, p1)
     r2 = _rank_mod_p(rows, ncols, p2)
     if r1 == r2:
@@ -578,9 +571,13 @@ def gaschutz_check(cover: CoverComplex, seed: int = 0) -> dict:
 
 def elevation_class(cover: CoverComplex, word: GroupWord, basepoint: int = 0):
     """(m, edge vector) with m the order of theta(word) and the vector the
-    lift of word^m starting at the basepoint."""
-    img = cover.quotient.evaluate(word)
-    m = cover.quotient.element_order(img, guard=cover.n_vertices + 1)
+    lift of word^m starting at the basepoint.  m does not depend on the
+    basepoint and is computed once per word."""
+    m = cover._orders.get(word.letters)
+    if m is None:
+        img = cover.quotient.evaluate(word)
+        m = cover.quotient.element_order(img, guard=cover.n_vertices + 1)
+        cover._orders[word.letters] = m
     end, vec = cover.walk_vec(word, basepoint, repeats=m)
     if end != basepoint:
         raise PropertyViolation(f"lift of {word.render()}^{m} did not close up")
@@ -679,25 +676,6 @@ def omega_powers(d: int):
     return tuple(reps)
 
 
-def _cyc_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _cyc_scale(a, c):
-    return tuple(x * c for x in a)
-
-
-def _cyc_mul_omega_power(val, t, d):
-    """val * omega^t for val in the power basis."""
-    powers = omega_powers(d)
-    deg = len(powers[0])
-    out = (0,) * deg
-    for i, c in enumerate(val):
-        if c:
-            out = _cyc_add(out, _cyc_scale(powers[(t + i) % d], c))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # isotypic projection
 
@@ -706,7 +684,14 @@ class IsotypicProjector:
     """The operator sum_c omega^(-psi(c)) deck(c) over the central slice of
     a cover built from a witness bundle (the 1/|C| normalisation is
     irrelevant for kernel and image questions and is kept out to stay in
-    Z[omega])."""
+    Z[omega]).
+
+    Vectors are sparse dicts edge id -> coefficient: an int for
+    ``apply_int``, a power-basis tuple for ``apply_cyc``.  Both go through
+    one int64 scatter; entries are bounded by |C| * deg * max|table| *
+    max|input| (each central element permutes the edges, so every output
+    edge receives at most one term per c), and a bound of 2^63 or more
+    raises TooLarge instead of overflowing."""
 
     def __init__(self, cover: CoverComplex, bundle: WitnessBundle):
         self.cover = cover
@@ -722,8 +707,18 @@ class IsotypicProjector:
         self.psi_values = [
             self._psi(self._parts(cover.elements[v])) for v in central
         ]
-        self.central_perms = [cover.deck_perm(v) for v in central]
-        self.deg = len(omega_powers(self.d)[0])
+        # (|C|, V): vertex permutation of each central deck element
+        self.perms = np.array([cover.deck_perm(v) for v in central], dtype=np.int64)
+        # (|C|, deg, deg): row j of slice c is omega^(j - psi(c))
+        powers = omega_powers(self.d)
+        self.deg = len(powers[0])
+        self.table = np.array(
+            [[powers[(j - t) % self.d] for j in range(self.deg)] for t in self.psi_values],
+            dtype=np.int64,
+        )
+        self._entry_bound = (
+            len(central) * self.deg * max(abs(x) for rep in powers for x in rep)
+        )
 
     def _parts(self, elem):
         flat = elem.parts if isinstance(elem, ProductImage) else (elem,)
@@ -743,28 +738,31 @@ class IsotypicProjector:
 
     def apply_int(self, vec: dict) -> dict:
         """Apply to an integer edge vector; entries land in Z[omega]."""
-        d, g = self.d, self.cover.ngens
-        powers = omega_powers(d)
-        zero = (0,) * self.deg
-        out = {}
-        for perm, t in zip(self.central_perms, self.psi_values):
-            w = powers[(-t) % d]
-            for eid, c in vec.items():
-                nid = int(perm[eid // g]) * g + eid % g
-                out[nid] = _cyc_add(out.get(nid, zero), _cyc_scale(w, c))
-        return {e: v for e, v in out.items() if any(v)}
+        return self._apply(vec, [(c,) for c in vec.values()])
 
     def apply_cyc(self, vec: dict) -> dict:
-        d, g = self.d, self.cover.ngens
-        zero = (0,) * self.deg
-        out = {}
-        for perm, t in zip(self.central_perms, self.psi_values):
-            for eid, val in vec.items():
-                nid = int(perm[eid // g]) * g + eid % g
-                out[nid] = _cyc_add(
-                    out.get(nid, zero), _cyc_mul_omega_power(val, (-t) % d, d)
-                )
-        return {e: v for e, v in out.items() if any(v)}
+        """Apply to a Z[omega]-valued edge vector."""
+        return self._apply(vec, list(vec.values()))
+
+    def _apply(self, vec: dict, coeffs: list) -> dict:
+        """The scatter: coeffs[n] holds the leading power-basis
+        coefficients of the n-th entry of vec."""
+        if not vec:
+            return {}
+        peak = max(abs(x) for row in coeffs for x in row)
+        if self._entry_bound * peak >= 2 ** 63:
+            raise TooLarge(
+                f"projector entries may reach {self._entry_bound * peak}, beyond int64"
+            )
+        vals = np.array(coeffs, dtype=np.int64)
+        eids = np.fromiter(vec, dtype=np.int64, count=len(vec))
+        g = self.cover.ngens
+        targets = self.perms[:, eids // g] * g + eids % g
+        terms = np.einsum("nj,cjk->cnk", vals, self.table[:, : vals.shape[1]])
+        out = np.zeros((self.cover.n_edges, self.deg), dtype=np.int64)
+        np.add.at(out, targets.ravel(), terms.reshape(-1, self.deg))
+        rows = np.flatnonzero(out.any(axis=1))
+        return dict(zip(rows.tolist(), map(tuple, out[rows].tolist())))
 
     def is_zero_in_h1(self, cyc_vec: dict, seed: int = 0) -> bool:
         """Zero test for a Z[omega]-valued cycle, componentwise over Q."""
@@ -783,8 +781,7 @@ class IsotypicProjector:
 
 
 def isotypic_projection_check(
-    cover: CoverComplex,
-    bundle: WitnessBundle,
+    proj: IsotypicProjector,
     max_word_len: int = 6,
     basepoint_samples: int = 5,
     seed: int = 0,
@@ -801,8 +798,7 @@ def isotypic_projection_check(
     subspace of H_1 of the cover.
     """
     rng = random.Random(seed)
-    proj = IsotypicProjector(cover, bundle)
-    d = bundle.modulus
+    cover, d = proj.cover, proj.d
     primitive = d_primitive_predicate(d)
     words_checked = 0
     spot_checks = 0
@@ -861,11 +857,11 @@ def isotypic_projection_check(
     }
 
 
-def isotypic_invariants(cover, bundle, samples: int = 5, seed: int = 0) -> dict:
+def isotypic_invariants(proj: IsotypicProjector, samples: int = 5, seed: int = 0) -> dict:
     """Idempotence (S^2 = |C| S) and commutation with the deck action on
     random sparse integer vectors."""
     rng = random.Random(seed)
-    proj = IsotypicProjector(cover, bundle)
+    cover = proj.cover
     order = proj.central_order
     for _ in range(samples):
         vec = {
@@ -874,17 +870,13 @@ def isotypic_invariants(cover, bundle, samples: int = 5, seed: int = 0) -> dict:
         }
         once = proj.apply_int(vec)
         twice = proj.apply_cyc(once)
-        scaled = {e: _cyc_scale(v, order) for e, v in once.items()}
+        scaled = {e: tuple(x * order for x in v) for e, v in once.items()}
         if twice != scaled:
             raise PropertyViolation("projector is not idempotent up to |C|")
         v = rng.randrange(cover.n_vertices)
         perm = cover.deck_perm(v)
         left = proj.apply_int(cover.deck_translate(perm, vec))
-        right = {
-            int(perm[eid // cover.ngens]) * cover.ngens + eid % cover.ngens: val
-            for eid, val in once.items()
-        }
-        if left != right:
+        if left != cover.deck_translate(perm, once):
             raise PropertyViolation("projector does not commute with the deck action")
     return {"name": "isotypic-invariants", "status": "pass", "details": {"samples": samples}}
 

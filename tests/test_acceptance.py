@@ -10,6 +10,7 @@ import pytest
 
 from coverhom import (
     GroupWord,
+    IsotypicProjector,
     assemble_witness_free,
     assemble_witness_surface,
     build_cover,
@@ -153,7 +154,10 @@ def test_criterion_07_end_to_end_small_witness(sorted_witness_bundle, sorted_wit
     order = cover.n_vertices
     assert cover.dim_h1() == 1 + (2 - 1) * order  # the free-cover module formula
     rec = isotypic_projection_check(
-        cover, sorted_witness_bundle, max_word_len=6, basepoint_samples=5, seed=17
+        IsotypicProjector(cover, sorted_witness_bundle),
+        max_word_len=6,
+        basepoint_samples=5,
+        seed=17,
     )
     assert rec["status"] == "pass"
     assert rec["details"]["words_annihilated"] > 1000

@@ -166,3 +166,15 @@ def test_quotient_not_json_exits_two(tmp_path, capsys):
 def test_quotient_missing_key_exits_two(tmp_path, capsys):
     quotient = {"domain": "free", "type": "residue", "mod": 3, "images": [[1], [0]]}
     assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+
+
+def test_quotient_monomial_out_of_byte_range_exits_two(tmp_path, capsys):
+    # word monomials are stored as bytes: a letter of 300 cannot be one
+    quotient = {
+        "domain": "free",
+        "rank": 2,
+        "type": "unit",
+        "algebra": {"kind": "sorted", "r": 3, "k": 1, "ngens": 2},
+        "images": [{"monomials": [[[], 1], [[300], 1]]}, {"monomials": [[[], 1]]}],
+    }
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2

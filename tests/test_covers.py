@@ -7,6 +7,7 @@ from coverhom import (
     FiniteQuotient,
     GroupWord,
     InvalidConfig,
+    IsotypicProjector,
     PermImage,
     ResidueImage,
     TooLarge,
@@ -26,7 +27,7 @@ from coverhom import (
     rank_over_rationals,
     symbol,
 )
-from coverhom.covers import _rank_exact, cyclotomic_polynomial, omega_powers
+from coverhom.covers import _RANK_PRIMES, _rank_exact, cyclotomic_polynomial, omega_powers
 
 FREE2 = Alphabet("free", 2)
 SURF2 = Alphabet("surface", 2)
@@ -166,6 +167,15 @@ def test_rank_over_rationals_small():
     assert _rank_exact(rows, 3) == 2
 
 
+def test_rank_primes_are_the_16_largest_below_2_31():
+    def is_prime(n):
+        return n % 2 and all(n % f for f in range(3, int(n ** 0.5) + 1, 2))
+
+    primes = [n for n in range(2 ** 31 - 1, min(_RANK_PRIMES) - 1, -1) if is_prime(n)]
+    assert tuple(primes) == _RANK_PRIMES
+    assert len(_RANK_PRIMES) == 16
+
+
 def test_rank_modular_matches_exact_random():
     rng = random.Random(55)
     for _ in range(20):
@@ -248,17 +258,90 @@ def test_unit_image_quotient_rejects_non_units():
 
 
 def test_isotypic_certificate_small(sorted_witness_bundle, sorted_witness_cover):
-    rec = isotypic_projection_check(
-        sorted_witness_cover, sorted_witness_bundle, max_word_len=3, seed=1
-    )
+    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    rec = isotypic_projection_check(proj, max_word_len=3, seed=1)
     assert rec["status"] == "pass"
     assert rec["details"]["central_order"] == 81
     assert rec["details"]["h1_witness_cycle"] is not None
 
 
 def test_isotypic_invariants(sorted_witness_bundle, sorted_witness_cover):
-    rec = isotypic_invariants(sorted_witness_cover, sorted_witness_bundle, samples=4, seed=3)
+    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    rec = isotypic_invariants(proj, samples=4, seed=3)
     assert rec["status"] == "pass"
+
+
+def _reference_projector(proj):
+    """The dict-of-tuples projector the array kernel replaced, kept as an
+    oracle: one Z[omega] tuple update per (central element, entry)."""
+    d, g, deg = proj.d, proj.cover.ngens, proj.deg
+    powers = omega_powers(d)
+    zero = (0,) * deg
+    perms = [proj.cover.deck_perm(v) for v in proj.central_vertices]
+
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def scale(a, c):
+        return tuple(x * c for x in a)
+
+    def mul_omega_power(val, t):
+        out = zero
+        for i, c in enumerate(val):
+            if c:
+                out = add(out, scale(powers[(t + i) % d], c))
+        return out
+
+    def apply_int(vec):
+        out = {}
+        for perm, t in zip(perms, proj.psi_values):
+            for eid, c in vec.items():
+                nid = int(perm[eid // g]) * g + eid % g
+                out[nid] = add(out.get(nid, zero), scale(powers[(-t) % d], c))
+        return {e: v for e, v in out.items() if any(v)}
+
+    def apply_cyc(vec):
+        out = {}
+        for perm, t in zip(perms, proj.psi_values):
+            for eid, val in vec.items():
+                nid = int(perm[eid // g]) * g + eid % g
+                out[nid] = add(out.get(nid, zero), mul_omega_power(val, (-t) % d))
+        return {e: v for e, v in out.items() if any(v)}
+
+    return apply_int, apply_cyc
+
+
+def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witness_cover):
+    cover = sorted_witness_cover
+    proj = IsotypicProjector(cover, sorted_witness_bundle)
+    ref_int, ref_cyc = _reference_projector(proj)
+    rng = random.Random(2304)
+    for _ in range(10):
+        positions = rng.sample(range(cover.n_edges), rng.randrange(1, 12))
+        vec = {e: rng.choice((-1, 1)) * rng.randrange(1, 50) for e in positions}
+        assert proj.apply_int(vec) == ref_int(vec)
+        cyc = {e: tuple(rng.randrange(-9, 10) for _ in range(proj.deg)) for e in positions}
+        assert proj.apply_cyc(cyc) == ref_cyc(cyc)
+    # an elevation class is killed and its image goes through apply_cyc
+    _, vec = elevation_class(cover, GroupWord(FREE2, (1, 2, 2)), 5)
+    assert proj.apply_int(vec) == ref_int(vec) == {}
+    once = proj.apply_int(cover.fundamental_cycle(0))
+    assert once and proj.apply_cyc(once) == ref_cyc(once)
+
+
+def test_projector_int64_bound(sorted_witness_bundle, sorted_witness_cover):
+    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    ref_int, ref_cyc = _reference_projector(proj)
+    # |C| * deg * max|omega rep| = 81 * 2 * 1: the largest safe coefficient
+    safe = (2 ** 63 - 1) // 162
+    vec = {0: safe, 7: -safe}
+    assert proj.apply_int(vec) == ref_int(vec)
+    cyc = {3: (safe, -safe)}
+    assert proj.apply_cyc(cyc) == ref_cyc(cyc)
+    with pytest.raises(TooLarge):
+        proj.apply_int({0: 1, 5: 2 ** 62 + 1})
+    with pytest.raises(TooLarge):
+        proj.apply_cyc({0: (0, -(2 ** 62))})
 
 
 def test_quotient_from_json_perm():
