@@ -598,30 +598,95 @@ def quat_term(spec, u, v, unit, coeff=1) -> AlgElement:
 def power(a: AlgElement, e: int) -> AlgElement:
     """Exact e-th power.  Negative e inverts first (unit required).
 
-    For a sparse base and small exponent, repeated multiplication beats
-    square-and-multiply in a truncated algebra: squarings of the dense
-    intermediate powers dominate otherwise.
+    When the degree-0 part of ``a`` is a nonzero scalar c, write
+    a = c(1 + y).  The algebra has characteristic r, so
+    (1 + y)^(r^j) = 1 + y^(r^j), and
+
+        a^e = c^e * prod_j (1 + z_j)^(e_j),  z_0 = y,  z_(j+1) = z_j^r,
+
+    over the base-r digits e_j of e.  z_j starts in degree r^j, so the
+    product stops at the first r^j > D, and each z_j is cut to the degrees
+    that can still reach the result.  Any other element (a quaternion unit
+    i, j, k in degree 0, or c = 0) is raised by plain square-and-multiply,
+    dropping only partial powers that start above degree D.
+    Every ring product goes through ``*``, where the benchmark's layer
+    wrappers count it.
     """
     if e < 0:
-        return power(a.inverse_unit(), -e)
-    result = AlgElement.one(a.spec)
+        a, e = a.inverse_unit(), -e
+    spec = a.spec
     if e == 0:
-        return result
+        return AlgElement.one(spec)
     if e == 1:
         return a
-    if len(a.terms) <= 64 and e <= 4 * a.spec.cap:
-        acc = a
-        for _ in range(e - 1):
-            acc = acc * a
-        return acc
-    base = a
-    while True:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if not e:
-            return result
-        base = base * base
+    r, cap, deg, one_mono = spec.r, spec.cap, spec.degree, spec.one_mono
+    c = a.terms.get(one_mono, 0)
+    if not c:
+        return _chain_power(a, e, a.min_degree() or 0, cap)
+    inv = pow(c, -1, r)
+    y = {}
+    for mono, coeff in a.terms.items():
+        if deg(mono):
+            y[mono] = coeff * inv % r
+        elif mono != one_mono:
+            return _chain_power(a, e, 0, cap)
+    digits = []
+    q, step = e, 1
+    while step <= cap:
+        q, digit = divmod(q, r)
+        digits.append(digit)
+        step *= r
+    # need[j]: the highest degree of z_j that can still reach the result,
+    # None when no digit from j on is nonzero
+    need = [None] * (len(digits) + 1)
+    for j in reversed(range(len(digits))):
+        if digits[j]:
+            need[j] = cap
+        elif need[j + 1] is not None:
+            need[j] = need[j + 1] - (r - 1) * r ** j
+    result = None
+    z, step = AlgElement._raw(spec, y), 1
+    for j, digit in enumerate(digits):
+        if need[j] is None:
+            break
+        if digit:
+            # (1 + z)^digit by the binomial theorem; z^i vanishes once i*r^j > D
+            factor, zi = 1 + z * digit, z
+            for i in range(2, min(digit, cap // step) + 1):
+                zi = zi * z
+                factor = factor + zi * math.comb(digit, i)
+            result = factor if result is None else result * factor
+        if need[j + 1] is not None:
+            z = _chain_power(z, r, step, need[j + 1])
+        step *= r
+    if result is None:
+        result = AlgElement.one(spec)
+    ce = pow(c, e, r)
+    return result if ce == 1 else result * ce
+
+
+def _chain_power(x, n, low, top):
+    """x^n by left-to-right square-and-multiply, for x starting in degree
+    ``low``, keeping only the degrees <= ``top`` of the result: a partial
+    power x^m keeps degrees <= top - (n - m) * low, since each of the
+    n - m factors still to come adds at least ``low``."""
+    def cut(elem, m):
+        bound = top - (n - m) * low
+        if bound >= cap:
+            return elem
+        return AlgElement._raw(spec, {k: v for k, v in elem.terms.items() if deg(k) <= bound})
+
+    spec = x.spec
+    cap, deg = spec.cap, spec.degree
+    x = acc = cut(x, 1)
+    m = 1
+    for bit in bin(n)[3:]:
+        m *= 2
+        acc = cut(acc * acc, m)
+        if bit == "1":
+            m += 1
+            acc = cut(acc * x, m)
+    return acc
 
 
 def random_element(spec, rng, max_terms=6, unit=False):

@@ -7,10 +7,14 @@ output file already exists the report is appended as a new line, so a
 report file is a JSON-lines log of runs.
 
 Exit codes: 0 all checks passed, 1 a verified property failed (the record
-carries the counterexample), 2 invalid configuration or a size guard.
+carries the counterexample), 2 invalid configuration or a size guard.  A
+guard or configuration error after a check has started still emits the
+report of the checks so far, with the aborted step last (status ``guard``
+or ``error``).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -65,9 +69,39 @@ def _timed(checks, fn, *args, **kwargs):
             }
         )
         return None
+    except (InvalidConfig, TooLarge) as exc:
+        checks.append(_aborted(getattr(fn, "__name__", "check"), exc, time.perf_counter() - t0))
+        raise
     record["wall_time_s"] = round(time.perf_counter() - t0, 6)
     checks.append(record)
     return record
+
+
+def _aborted(name, exc, wall):
+    """The record of a step stopped by a size guard or a bad configuration."""
+    return {
+        "name": name,
+        "status": "guard" if isinstance(exc, TooLarge) else "error",
+        "details": {"error": str(exc)},
+        "wall_time_s": round(wall, 6),
+    }
+
+
+@contextlib.contextmanager
+def _checks(args, config):
+    """The check list of one command.  When a guard or a bad configuration
+    stops the command after a check has started, the report of the checks
+    so far is still emitted, the aborted step last, and the error goes on
+    to exit 2."""
+    checks = []
+    try:
+        yield checks
+    except (InvalidConfig, TooLarge) as exc:
+        if checks:
+            if checks[-1]["status"] not in ("guard", "error"):
+                checks.append(_aborted("aborted", exc, 0.0))
+            _finish(args, args.command, config, checks)
+        raise
 
 
 def _emit(report, out_path):
@@ -131,8 +165,9 @@ def orbit_rank(cover, predicate, max_len, seed, guard_dim, vertices=None,
 def cmd_nvpoly(args):
     k = args.k if args.k is not None else minimal_k(args.r, args.n)
     poly = build_nonvanishing(args.r, args.n, k)
-    checks = []
-    record = _timed(checks, verify_nonvanishing, poly, args.guard_points)
+    config = {"r": args.r, "n": args.n, "k": k}
+    with _checks(args, config) as checks:
+        _timed(checks, verify_nonvanishing, poly, args.guard_points)
     parts = classify(poly)
     checks.append(
         {
@@ -142,7 +177,6 @@ def cmd_nvpoly(args):
             "wall_time_s": 0.0,
         }
     )
-    config = {"r": args.r, "n": args.n, "k": k}
     report_extra = {"polynomial": poly.render(), "degree": poly.total_degree()}
     checks.insert(0, {"name": "polynomial", "status": "pass", "details": report_extra, "wall_time_s": 0.0})
     return _finish(args, "nvpoly", config, checks)
@@ -152,27 +186,6 @@ def cmd_verify_free(args):
     bundle = assemble_witness_free(args.r, args.n, args.k, args.variant)
     spec = bundle.components[0].factors[0].spec
     poly = bundle.components[0].poly
-    checks = []
-    _timed(checks, verify_nonvanishing, poly)
-    _timed(
-        checks,
-        verify_power_character,
-        spec,
-        poly,
-        exhaustive=True,
-        samples=args.samples,
-        seed=args.seed,
-        assert_nonzero=True,
-    )
-    _timed(
-        checks,
-        verify_witness,
-        bundle,
-        exhaustive=True,
-        samples=max(args.samples // 10, 10),
-        seed=args.seed,
-        jobs=args.jobs,
-    )
     config = {
         "r": args.r,
         "n": args.n,
@@ -181,33 +194,33 @@ def cmd_verify_free(args):
         "samples": args.samples,
         "seed": args.seed,
     }
+    with _checks(args, config) as checks:
+        _timed(checks, verify_nonvanishing, poly)
+        _timed(
+            checks,
+            verify_power_character,
+            spec,
+            poly,
+            exhaustive=True,
+            samples=args.samples,
+            seed=args.seed,
+            assert_nonzero=True,
+        )
+        _timed(
+            checks,
+            verify_witness,
+            bundle,
+            exhaustive=True,
+            samples=max(args.samples // 10, 10),
+            seed=args.seed,
+            jobs=args.jobs,
+        )
     return _finish(args, "verify-free", config, checks)
 
 
 def cmd_verify_surface(args):
     bundle = assemble_witness_surface(args.r, args.genus, args.k)
     comp = bundle.components[0]
-    checks = []
-    _timed(checks, verify_nonvanishing, comp.poly)
-    _timed(checks, verify_relator_kill, (args.r,), (comp.k,))
-    _timed(
-        checks,
-        verify_quat_power_identity,
-        args.r,
-        comp.k,
-        samples=min(args.samples, 1000),
-        seed=args.seed,
-    )
-    _timed(
-        checks,
-        verify_witness,
-        bundle,
-        exhaustive=args.classes == "full",
-        samples=args.samples if args.classes != "full" else min(args.samples, 20),
-        sample_len=5,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
     config = {
         "r": args.r,
         "genus": args.genus,
@@ -216,23 +229,33 @@ def cmd_verify_surface(args):
         "samples": args.samples,
         "seed": args.seed,
     }
+    with _checks(args, config) as checks:
+        _timed(checks, verify_nonvanishing, comp.poly)
+        _timed(checks, verify_relator_kill, (args.r,), (comp.k,))
+        _timed(
+            checks,
+            verify_quat_power_identity,
+            args.r,
+            comp.k,
+            samples=min(args.samples, 1000),
+            seed=args.seed,
+        )
+        _timed(
+            checks,
+            verify_witness,
+            bundle,
+            exhaustive=args.classes == "full",
+            samples=args.samples if args.classes != "full" else min(args.samples, 20),
+            sample_len=5,
+            seed=args.seed,
+            jobs=args.jobs,
+        )
     return _finish(args, "verify-surface", config, checks)
 
 
 def cmd_cover_report(args):
     quotient = _load_quotient(args.quotient)
     cover = build_cover(quotient, guard_vertices=args.guard_vertices)
-    checks = []
-    _timed(checks, gaschutz_check, cover, args.seed)
-    if args.orbit:
-        if args.orbit == "d-primitive":
-            predicate = d_primitive_predicate(args.d)
-        elif args.orbit == "theta-nonkernel":
-            predicate = nonkernel_predicate(_load_quotient(args.theta))
-        else:
-            predicate = lambda word: True
-        _timed(checks, orbit_rank, cover, predicate, args.max_word_len, args.seed,
-               args.guard_dim, orbit=args.orbit)
     config = {
         "quotient": args.quotient,
         "orbit": args.orbit,
@@ -240,42 +263,62 @@ def cmd_cover_report(args):
         "max_word_len": args.max_word_len,
         "seed": args.seed,
     }
+    with _checks(args, config) as checks:
+        _timed(checks, gaschutz_check, cover, args.seed)
+        if args.orbit:
+            if args.orbit == "d-primitive":
+                predicate = d_primitive_predicate(args.d)
+            elif args.orbit == "theta-nonkernel":
+                predicate = nonkernel_predicate(_load_quotient(args.theta))
+            else:
+                predicate = lambda word: True
+            _timed(checks, orbit_rank, cover, predicate, args.max_word_len, args.seed,
+                   args.guard_dim, orbit=args.orbit)
     return _finish(args, "cover-report", config, checks)
 
 
 def cmd_witness_e2e(args):
     bundle = assemble_witness_free(args.r, args.n, args.k, args.variant)
-    checks = []
-    _timed(
-        checks,
-        verify_witness,
-        bundle,
-        exhaustive=True,
-        samples=50,
-        seed=args.seed,
-    )
-    quotient = quotient_from_bundle(bundle)
-    cover = build_cover(quotient, guard_vertices=args.guard_vertices)
-    _timed(checks, gaschutz_check, cover, args.seed)
-    proj = IsotypicProjector(cover, bundle)
-    _timed(checks, isotypic_invariants, proj, samples=3, seed=args.seed)
-    record = _timed(
-        checks,
-        isotypic_projection_check,
-        proj,
-        max_word_len=args.max_word_len,
-        basepoint_samples=args.basepoint_samples,
-        seed=args.seed,
-    )
-    del proj  # free the (|C|, V) permutation array before the dense orbit rank
-    if args.orbit_rank:
-        rng = random.Random(args.seed)
-        basepoints = [0] + [
-            rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
-        ]
-        _timed(checks, orbit_rank, cover, d_primitive_predicate(args.r), args.orbit_word_len,
-               args.seed, args.guard_dim, vertices=basepoints, require_proper=True,
-               basepoints=len(basepoints))
+    config = {
+        "r": args.r,
+        "n": args.n,
+        "k": args.k,
+        "variant": args.variant,
+        "d": args.r,
+        "max_word_len": args.max_word_len,
+        "seed": args.seed,
+    }
+    with _checks(args, config) as checks:
+        _timed(
+            checks,
+            verify_witness,
+            bundle,
+            exhaustive=True,
+            samples=50,
+            seed=args.seed,
+        )
+        quotient = quotient_from_bundle(bundle)
+        cover = build_cover(quotient, guard_vertices=args.guard_vertices)
+        _timed(checks, gaschutz_check, cover, args.seed)
+        proj = IsotypicProjector(cover, bundle)
+        _timed(checks, isotypic_invariants, proj, samples=3, seed=args.seed)
+        record = _timed(
+            checks,
+            isotypic_projection_check,
+            proj,
+            max_word_len=args.max_word_len,
+            basepoint_samples=args.basepoint_samples,
+            seed=args.seed,
+        )
+        del proj  # free the (|C|, V) permutation array before the dense orbit rank
+        if args.orbit_rank:
+            rng = random.Random(args.seed)
+            basepoints = [0] + [
+                rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
+            ]
+            _timed(checks, orbit_rank, cover, d_primitive_predicate(args.r),
+                   args.orbit_word_len, args.seed, args.guard_dim, vertices=basepoints,
+                   require_proper=True, basepoints=len(basepoints))
     if record is not None:
         checks.append(
             {
@@ -291,15 +334,6 @@ def cmd_witness_e2e(args):
                 "wall_time_s": 0.0,
             }
         )
-    config = {
-        "r": args.r,
-        "n": args.n,
-        "k": args.k,
-        "variant": args.variant,
-        "d": args.r,
-        "max_word_len": args.max_word_len,
-        "seed": args.seed,
-    }
     return _finish(args, "witness-e2e", config, checks)
 
 
@@ -309,27 +343,6 @@ def cmd_crt_lift(args):
         assemble_witness_free(r, args.n, args.k, args.variant) for r in primes
     ]
     lifted = crt_lift(bundles)
-    checks = [
-        {
-            "name": "lift",
-            "status": "pass",
-            "details": {
-                "modulus": lifted.modulus,
-                "exponent": lifted.exponent,
-                "q": [comp.q for comp in lifted.components],
-            },
-            "wall_time_s": 0.0,
-        }
-    ]
-    _timed(
-        checks,
-        verify_witness,
-        lifted,
-        exhaustive=True,
-        samples=args.samples,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
     config = {
         "primes": primes,
         "n": args.n,
@@ -338,6 +351,28 @@ def cmd_crt_lift(args):
         "samples": args.samples,
         "seed": args.seed,
     }
+    with _checks(args, config) as checks:
+        checks.append(
+            {
+                "name": "lift",
+                "status": "pass",
+                "details": {
+                    "modulus": lifted.modulus,
+                    "exponent": lifted.exponent,
+                    "q": [comp.q for comp in lifted.components],
+                },
+                "wall_time_s": 0.0,
+            }
+        )
+        _timed(
+            checks,
+            verify_witness,
+            lifted,
+            exhaustive=True,
+            samples=args.samples,
+            seed=args.seed,
+            jobs=args.jobs,
+        )
     return _finish(args, "crt-lift", config, checks)
 
 

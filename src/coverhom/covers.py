@@ -459,6 +459,7 @@ _RANK_PRIMES = (
     2147483489, 2147483477, 2147483423, 2147483399,
     2147483353, 2147483323, 2147483269, 2147483249,
 )
+_RANK_BLOCK = 64  # rows eliminated per numpy update in _rank_mod_p
 
 
 def _rank_mod_p(rows, ncols, p):
@@ -481,12 +482,15 @@ def _rank_mod_p(rows, ncols, p):
             mat[[r, piv]] = mat[[piv, r]]
         inv = pow(int(mat[r, col]), -1, p)
         mat[r] = mat[r] * inv % p
-        below = mat[r + 1 :, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            mat[r + 1 + hit] = (
-                mat[r + 1 + hit] - below[hit, None] * mat[r][None, :]
-            ) % p
+        hit = r + 1 + np.nonzero(mat[r + 1 :, col])[0]
+        # update the hit rows in slices, so the temporaries stay at
+        # _RANK_BLOCK rows whatever the number of rows hit
+        for s in range(0, hit.size, _RANK_BLOCK):
+            idx = hit[s : s + _RANK_BLOCK]
+            block = mat[idx]
+            block -= block[:, col, None] * mat[r]
+            block %= p
+            mat[idx] = block
         r += 1
     return r
 

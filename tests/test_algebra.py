@@ -185,6 +185,58 @@ def test_power_square_multiply_matches_sequential():
     assert power(g, 30) == seq
 
 
+def _reference_power(a, e):
+    """The square-and-multiply power that the base-r digit expansion
+    replaced, kept as the oracle: sequential products for a sparse base
+    and a small exponent, binary powering otherwise."""
+    if e < 0:
+        return _reference_power(a.inverse_unit(), -e)
+    result = one(a.spec)
+    if e == 0:
+        return result
+    if e == 1:
+        return a
+    if len(a.terms) <= 64 and e <= 4 * a.spec.cap:
+        acc = a
+        for _ in range(e - 1):
+            acc = acc * a
+        return acc
+    base = a
+    while True:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
+POWER_SPECS = ALL_SPECS + [free_spec(2, 2, 2), free_spec(5, 1, 2), quat_spec(5, 1)]
+
+
+@pytest.mark.parametrize("spec", POWER_SPECS)
+def test_power_matches_reference(spec):
+    # the digit expansion covers every c * (1 + y) with c != 0; nilpotent
+    # elements (c = 0) and a quaternion unit in degree 0 take the fallback
+    rng = random.Random(POWER_SPECS.index(spec))
+    r, cap = spec.r, spec.cap
+    elements = []
+    for _ in range(6):
+        u = random_element(spec, rng, max_terms=rng.randrange(1, 6), unit=True)
+        elements.append(u)
+        if r > 2:
+            elements.append(u * rng.randrange(2, r))
+        nil = random_element(spec, rng, max_terms=4)
+        elements.append(nil - nil.graded_part(0))
+    if spec.kind == "quat":
+        elements.append(quat_term(spec, 0, 0, 1) + quat_term(spec, 1, 0, 2))
+        elements.append(one(spec) + quat_term(spec, 0, 0, 1) + quat_term(spec, 0, 1, 3))
+    exponents = {2, r - 1, r, cap, cap + 1, cap * r, 930, rng.randrange(5000)}
+    for a in elements:
+        for e in sorted(exponents):
+            assert power(a, e) == _reference_power(a, e), (a, e)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_ring_axioms_random(spec):
     rng = random.Random(ALL_SPECS.index(spec))

@@ -19,8 +19,10 @@ def test_nvpoly_passes(capsys):
 
 
 def test_verify_surface_k_too_small(capsys):
-    code = main(["verify-surface", "--r", "3", "--genus", "2", "--k", "1"])
+    # refused before any check runs: no report
+    code, out = _run(capsys, "verify-surface", "--r", "3", "--genus", "2", "--k", "1")
     assert code == 2
+    assert out == ""
 
 
 def test_verify_free_sorted_passes(capsys):
@@ -133,12 +135,32 @@ def test_failed_check_exits_one(tmp_path, capsys):
 
 
 def test_witness_e2e_orbit_rank_guard(capsys):
-    # a tripped size guard is a configuration problem: exit 2
-    code = main(
-        ["witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2",
-         "--orbit-rank", "--orbit-word-len", "3", "--guard-dim", "10"]
+    # a tripped size guard is a configuration problem: exit 2, with the
+    # report of the checks done so far and the aborted check last
+    code, out = _run(
+        capsys,
+        "witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2",
+        "--orbit-rank", "--orbit-word-len", "3", "--guard-dim", "10",
     )
     assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 4 + ["guard"]
+    assert "exceeds --guard-dim 10" in checks[-1]["details"]["error"]
+
+
+def test_guard_outside_a_check_still_reports(capsys):
+    # the vertex guard trips in build_cover, between two checks
+    code, out = _run(
+        capsys,
+        "witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2",
+        "--guard-vertices", "100",
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("witness-free", "pass"), ("aborted", "guard")
+    ]
+    assert report["config"]["max_word_len"] == 2
 
 
 def _bad_quotient_exit(tmp_path, text):

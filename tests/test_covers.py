@@ -187,6 +187,18 @@ def test_rank_modular_matches_exact_random():
         assert rank_over_rationals(rows, ncols, seed=rng.randrange(99)) == _rank_exact(rows, ncols)
 
 
+def test_rank_tall_deficient_matrix_matches_exact():
+    # 300 rows: the first pivot hits more rows than one elimination slice
+    rng = random.Random(61)
+    left = [[rng.randrange(-3, 4) for _ in range(12)] for _ in range(300)]
+    right = [[rng.randrange(-3, 4) for _ in range(40)] for _ in range(12)]
+    rows = []
+    for a in left:
+        row = {j: sum(x * right[t][j] for t, x in enumerate(a)) for j in range(40)}
+        rows.append({j: c for j, c in row.items() if c})
+    assert rank_over_rationals(rows, 40, seed=3) == _rank_exact(rows, 40) == 12
+
+
 def test_full_group_spans_everything():
     c = _z3_free_cover()
     rank, dim = orbit_span_rank(c, lambda w: True, 3)

@@ -37,3 +37,14 @@ def test_trace_cli_records_the_projector(tmp_path):
     assert metrics["covers.projector.init.calls"] == 1
     assert metrics["covers.projector.apply.out_nnz"] > 0
     assert metrics["covers.element_order.calls_per_word"] == 1.0
+
+
+def test_trace_cli_counts_power_products(tmp_path):
+    # e = 930 at D = 3 and 5 takes a handful of products through the digit
+    # expansion; square-and-multiply takes 14, and a product that bypasses
+    # AlgElement.__mul__ would vanish from the count
+    metrics = _traced(
+        tmp_path, "crt-lift", "--primes", "3,5", "--n", "2", "--k", "1", "--samples", "30"
+    )
+    assert metrics["algebra.power.calls"] == 508
+    assert 0 < metrics["algebra.power.mul_per_call"] < 5
