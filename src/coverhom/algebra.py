@@ -20,19 +20,24 @@ is the single byte i), quaternion monomials are (u, v, unit) triples.
 Within the word kinds a product monomial can only become inadmissible at
 the junction of the two factors, which keeps multiplication O(1) per term
 pair.  Elements are immutable once built and every operation is pure, so
-values can be shared freely between concurrent workers.
+values can be shared freely.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConfig, NotAUnit, SpecMismatch
+from .errors import InvalidConfig, NotAUnit, SpecMismatch, TooLarge
 from .modular import is_prime
 
 KINDS = ("free", "sorted", "m", "quat")
 WORD_KINDS = ("free", "sorted", "m")
 
 QUAT_UNIT_NAMES = ("1", "i", "j", "k")
+
+# Bound on the work of one inverse: term pairs multiplied, each weighted by
+# its degree + 1 (about the letters the inverse stores).
+INVERSE_GUARD = 10 ** 7
 
 # Hamilton table i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
 # Flat-indexed by 4*l1 + l2 -> (sign, unit).  The table is validated
@@ -276,20 +281,18 @@ class AlgElement:
 
     __slots__ = ("spec", "terms", "_key")
 
-    def __init__(self, spec: AlgebraSpec, terms: dict, _validated: bool = False):
-        if not _validated:
-            reduced = {}
-            for mono, coeff in terms.items():
-                if isinstance(mono, tuple):
-                    mono = spec.mono_key(mono)
-                if not monomial_ok(spec, mono):
-                    raise InvalidConfig(f"monomial {mono!r} not admissible for {spec}")
-                c = coeff % spec.r
-                if c:
-                    reduced[mono] = (reduced.get(mono, 0) + c) % spec.r
-            terms = {m: c for m, c in reduced.items() if c}
+    def __init__(self, spec: AlgebraSpec, terms: dict):
+        reduced = {}
+        for mono, coeff in terms.items():
+            if isinstance(mono, tuple):
+                mono = spec.mono_key(mono)
+            if not monomial_ok(spec, mono):
+                raise InvalidConfig(f"monomial {mono!r} not admissible for {spec}")
+            c = coeff % spec.r
+            if c:
+                reduced[mono] = (reduced.get(mono, 0) + c) % spec.r
         self.spec = spec
-        self.terms = terms
+        self.terms = {m: c for m, c in reduced.items() if c}
         self._key = None
 
     @classmethod
@@ -453,7 +456,10 @@ class AlgElement:
 
         Solved degree by degree: with a = 1 + u, the inverse b satisfies
         b_d = -sum_{e=1..d} u_e b_{d-e}, which costs one truncated product
-        overall and stays sparse when the inverse is sparse.
+        overall and stays sparse when the inverse is sparse.  Only degrees
+        that are sums of degrees of u are visited.  When the term pairs to
+        multiply, each weighted by its degree + 1, would pass
+        ``INVERSE_GUARD`` the inverse is refused with TooLarge.
         """
         spec = self.spec
         if not self.is_unit_element():
@@ -465,24 +471,26 @@ class AlgElement:
             if d:
                 u_by_deg.setdefault(d, {})[mono] = c
         b_by_deg = {0: {spec.one_mono: 1}}
-        for d in range(1, cap + 1):
+        todo = sorted(u_by_deg)  # a heap of the degrees b may reach
+        queued, work = set(todo), 0
+        while todo:
+            d = heapq.heappop(todo)
+            parts = [(upart, b_by_deg[d - e])
+                     for e, upart in u_by_deg.items() if d - e in b_by_deg]
+            work += (d + 1) * sum(len(a) * len(b) for a, b in parts)
+            if work > INVERSE_GUARD:
+                raise TooLarge(f"the inverse in {spec} passes the guard {INVERSE_GUARD}")
             acc = {}
-            for e, upart in u_by_deg.items():
-                if e > d:
-                    continue
-                bpart = b_by_deg.get(d - e)
-                if not bpart:
-                    continue
-                piece = _mul_terms(spec, upart, bpart)
-                for mono, c in piece.items():
+            for upart, bpart in parts:
+                for mono, c in _mul_terms(spec, upart, bpart).items():
                     acc[mono] = acc.get(mono, 0) + c
-            layer = {}
-            for mono, c in acc.items():
-                c = (-c) % r
-                if c:
-                    layer[mono] = c
+            layer = {mono: -c % r for mono, c in acc.items() if c % r}
             if layer:
                 b_by_deg[d] = layer
+                for e in u_by_deg:
+                    if d + e <= cap and d + e not in queued:
+                        queued.add(d + e)
+                        heapq.heappush(todo, d + e)
         out = {}
         for layer in b_by_deg.values():
             out.update(layer)
@@ -566,7 +574,15 @@ class AlgElement:
 
     @classmethod
     def from_dict(cls, spec, data):
-        return cls(spec, {spec.mono_key(m): c for m, c in data["monomials"]})
+        """Inverse of :meth:`to_dict`: a monomial is a list of integers and
+        its coefficient an integer."""
+        terms = {}
+        for mono, coeff in data["monomials"]:
+            integral = isinstance(mono, list) and all(type(x) is int for x in mono)
+            if not integral or type(coeff) is not int:
+                raise InvalidConfig(f"monomial {mono!r} * {coeff!r} is not integral")
+            terms[spec.mono_key(mono)] = coeff
+        return cls(spec, terms)
 
     def __getstate__(self):
         return (self.spec, self.terms)
@@ -596,7 +612,7 @@ def quat_term(spec, u, v, unit, coeff=1) -> AlgElement:
 
 
 def power(a: AlgElement, e: int) -> AlgElement:
-    """Exact e-th power.  Negative e inverts first (unit required).
+    """Exact e-th power.
 
     When the degree-0 part of ``a`` is a nonzero scalar c, write
     a = c(1 + y).  The algebra has characteristic r, so
@@ -611,9 +627,17 @@ def power(a: AlgElement, e: int) -> AlgElement:
     dropping only partial powers that start above degree D.
     Every ring product goes through ``*``, where the benchmark's layer
     wrappers count it.
+
+    A negative e needs a = c(1 + y) with c != 0 and 1 + y a unit; only
+    1 + y is inverted, a^e = c^e ((1 + y)^(-1))^|e|.  Any other element
+    raises NotAUnit.
     """
     if e < 0:
-        a, e = a.inverse_unit(), -e
+        c = a.augmentation()
+        if not c:
+            raise NotAUnit("a negative power needs a nonzero constant term")
+        r = a.spec.r
+        return power((a * pow(c, -1, r)).inverse_unit(), -e) * pow(c, e, r)
     spec = a.spec
     if e == 0:
         return AlgElement.one(spec)

@@ -48,10 +48,6 @@ from .witness import (
 SCHEMA = 1
 
 
-def _default_jobs():
-    return int(os.environ.get("COVERHOM_JOBS", "1"))
-
-
 def _timed(checks, fn, *args, **kwargs):
     t0 = time.perf_counter()
     try:
@@ -196,25 +192,10 @@ def cmd_verify_free(args):
     }
     with _checks(args, config) as checks:
         _timed(checks, verify_nonvanishing, poly)
-        _timed(
-            checks,
-            verify_power_character,
-            spec,
-            poly,
-            exhaustive=True,
-            samples=args.samples,
-            seed=args.seed,
-            assert_nonzero=True,
-        )
-        _timed(
-            checks,
-            verify_witness,
-            bundle,
-            exhaustive=True,
-            samples=max(args.samples // 10, 10),
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+        _timed(checks, verify_power_character, spec, poly, samples=args.samples,
+               seed=args.seed, assert_nonzero=True)
+        _timed(checks, verify_witness, bundle, samples=max(args.samples // 10, 10),
+               seed=args.seed)
     return _finish(args, "verify-free", config, checks)
 
 
@@ -248,7 +229,6 @@ def cmd_verify_surface(args):
             samples=args.samples if args.classes != "full" else min(args.samples, 20),
             sample_len=5,
             seed=args.seed,
-            jobs=args.jobs,
         )
     return _finish(args, "verify-surface", config, checks)
 
@@ -289,27 +269,14 @@ def cmd_witness_e2e(args):
         "seed": args.seed,
     }
     with _checks(args, config) as checks:
-        _timed(
-            checks,
-            verify_witness,
-            bundle,
-            exhaustive=True,
-            samples=50,
-            seed=args.seed,
-        )
+        _timed(checks, verify_witness, bundle, samples=50, seed=args.seed)
         quotient = quotient_from_bundle(bundle)
         cover = build_cover(quotient, guard_vertices=args.guard_vertices)
         _timed(checks, gaschutz_check, cover, args.seed)
         proj = IsotypicProjector(cover, bundle)
         _timed(checks, isotypic_invariants, proj, samples=3, seed=args.seed)
-        record = _timed(
-            checks,
-            isotypic_projection_check,
-            proj,
-            max_word_len=args.max_word_len,
-            basepoint_samples=args.basepoint_samples,
-            seed=args.seed,
-        )
+        record = _timed(checks, isotypic_projection_check, proj,
+                        max_word_len=args.max_word_len, seed=args.seed)
         del proj  # free the (|C|, V) permutation array before the dense orbit rank
         if args.orbit_rank:
             rng = random.Random(args.seed)
@@ -364,15 +331,7 @@ def cmd_crt_lift(args):
                 "wall_time_s": 0.0,
             }
         )
-        _timed(
-            checks,
-            verify_witness,
-            lifted,
-            exhaustive=True,
-            samples=args.samples,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+        _timed(checks, verify_witness, lifted, samples=args.samples, seed=args.seed)
     return _finish(args, "crt-lift", config, checks)
 
 
@@ -390,7 +349,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default="-", help="report path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=_default_jobs())
 
     p = sub.add_parser("nvpoly", help="build and verify the non-vanishing polynomial")
     p.add_argument("--r", type=int, required=True)
@@ -435,7 +393,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--variant", choices=("full", "sorted"), default="sorted")
     p.add_argument("--max-word-len", type=int, default=6)
-    p.add_argument("--basepoint-samples", type=int, default=5)
     p.add_argument("--orbit-rank", action="store_true",
                    help="also compute the rank of a sampled d-primitive span directly")
     p.add_argument("--orbit-word-len", type=int, default=5)

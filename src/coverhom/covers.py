@@ -198,25 +198,45 @@ def quotient_from_bundle(bundle: WitnessBundle) -> FiniteQuotient:
     return FiniteQuotient(bundle.alphabet, tuple(imgs))
 
 
+def _json_ints(value, what):
+    """``value`` if it is a JSON list of integers, else InvalidConfig."""
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise InvalidConfig(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
+def _json_int(data, key):
+    value = data[key]
+    if type(value) is not int:
+        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def quotient_from_json(data) -> FiniteQuotient:
     """Quotient description: {"domain": "free"|"surface", "rank"|"genus": g,
     "type": "perm"|"residue"|"unit", "images": ...}; see the README for
-    examples of each image encoding."""
+    examples of each image encoding.  Counts, points, residues and
+    coefficients must be integers; permutations must share one degree and
+    residue vectors one length."""
     kind = data["domain"]
-    rank = data["rank"] if kind == "free" else data["genus"]
-    alphabet = Alphabet(kind, rank)
+    alphabet = Alphabet(kind, _json_int(data, "rank" if kind == "free" else "genus"))
     itype = data["type"]
     if itype == "perm":
-        images = [PermImage(p) for p in data["images"]]
+        images = [PermImage(_json_ints(p, "a permutation")) for p in data["images"]]
+        sizes = {len(p.map) for p in images}
     elif itype == "residue":
-        mod = data["mod"]
-        images = [ResidueImage(v, mod) for v in data["images"]]
+        mod = _json_int(data, "mod")
+        images = [ResidueImage(_json_ints(v, "a residue vector"), mod) for v in data["images"]]
+        sizes = {len(v.vec) for v in images}
     elif itype == "unit":
         a = data["algebra"]
-        spec = AlgebraSpec(a["kind"], a["r"], a["k"], a["ngens"])
+        spec = AlgebraSpec(a["kind"], *(_json_int(a, key) for key in ("r", "k", "ngens")))
         images = [UnitImage(AlgElement.from_dict(spec, e)) for e in data["images"]]
+        sizes = set()
     else:
         raise InvalidConfig(f"unknown image type {itype!r}")
+    if len(sizes) > 1:
+        raise InvalidConfig(f"{itype} images of different sizes {sorted(sizes)}")
     return FiniteQuotient(alphabet, tuple(images))
 
 
@@ -784,18 +804,21 @@ class IsotypicProjector:
         return True
 
 
+# One d-primitive word in this many is also checked at a random basepoint.
+SPOT_CHECK_RATE = 16
+
+
 def isotypic_projection_check(
     proj: IsotypicProjector,
     max_word_len: int = 6,
-    basepoint_samples: int = 5,
     seed: int = 0,
 ) -> dict:
     """The subspace certificate for one cover.
 
     (a) the projector kills the elevation class of every d-primitive word
         of length <= max_word_len, at the identity basepoint and, by deck
-        equivariance (separately spot-checked here on random basepoints),
-        at every basepoint;
+        equivariance (spot-checked here at a random basepoint for one word
+        in ``SPOT_CHECK_RATE``), at every basepoint;
     (b) the projector is nonzero on H_1, witnessed by a fundamental cycle.
 
     Together these certify that the d-primitive classes span a proper
@@ -817,7 +840,7 @@ def isotypic_projection_check(
                 counterexample=word.render(),
             )
         words_checked += 1
-        if basepoint_samples and rng.randrange(16) == 0:
+        if rng.randrange(SPOT_CHECK_RATE) == 0:
             b = rng.randrange(cover.n_vertices)
             _, bvec = elevation_class(cover, word, b)
             # the basepoint-b elevation is the deck translate of the

@@ -20,7 +20,6 @@ Z/d with exponent e = sum q_i r_i^k.
 
 import itertools
 import math
-import multiprocessing
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -597,17 +596,11 @@ def check_witness_word(bundle: WitnessBundle, word: GroupWord) -> int:
     return psi
 
 
-_POOL_BUNDLE = None
-
-
-def _class_worker(residues):
-    bundle = _POOL_BUNDLE
-    word = word_from_exponents(bundle.alphabet, residues)
-    try:
-        check_witness_word(bundle, word)
-        return None
-    except PropertyViolation as exc:
-        return (residues, str(exc))
+# At most this many classes are swept exhaustively; beyond it they are sampled.
+CLASS_CAP = 10000
+# Word-algebra factors with more basis monomials than this are refused:
+# powers go dense in the truncation and would exhaust memory.
+MONOMIAL_GUARD = 10 ** 6
 
 
 def verify_witness(
@@ -616,32 +609,24 @@ def verify_witness(
     samples: int = 0,
     seed: int = 0,
     sample_len: int = 6,
-    jobs: int = 1,
-    class_cap: int = 10000,
-    monomial_guard: int = 10 ** 6,
 ) -> dict:
     """Walk abelianisation classes via representative positive words, then
-    random words.  Exhaustive when d^rank is small enough, else sampled.
-
-    Guarded by the basis size of the word-algebra factors: powers go dense
-    in the truncation, so a sweep over a factor with more than
-    ``monomial_guard`` basis monomials would exhaust memory.
+    random words.  Exhaustive when d^rank is at most ``CLASS_CAP``, else
+    sampled.  Factors beyond ``MONOMIAL_GUARD`` basis monomials are refused.
     """
     for comp in bundle.components:
         for f in comp.factors:
             if isinstance(f, MagnusFactor):
                 size = count_basis_monomials(f.spec)
-                if size > monomial_guard:
+                if size > MONOMIAL_GUARD:
                     raise InvalidConfig(
                         f"factor algebra has {size} basis monomials, beyond the "
-                        f"sweep guard {monomial_guard}; this parameter size is "
+                        f"sweep guard {MONOMIAL_GUARD}; this parameter size is "
                         "constructible but not verifiable by dense powering"
                     )
     rng = random.Random(seed)
     d = bundle.modulus
-    classes = []
-    n_classes = d ** bundle.rank
-    if exhaustive and n_classes <= class_cap:
+    if exhaustive and d ** bundle.rank <= CLASS_CAP:
         classes = [
             vec
             for vec in itertools.product(range(d), repeat=bundle.rank)
@@ -649,28 +634,15 @@ def verify_witness(
         ]
     else:
         seen = set()
-        want = min(class_cap, max(samples, 1))
+        want = min(CLASS_CAP, max(samples, 1))
         while len(seen) < want:
             vec = tuple(rng.randrange(d) for _ in range(bundle.rank))
             if any(vec):
                 seen.add(vec)
         classes = sorted(seen)
 
-    if jobs > 1:
-        global _POOL_BUNDLE
-        _POOL_BUNDLE = bundle
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            failures = [f for f in pool.map(_class_worker, classes) if f]
-        _POOL_BUNDLE = None
-        if failures:
-            residues, msg = failures[0]
-            raise PropertyViolation(
-                f"class {residues}: {msg}", counterexample=list(residues)
-            )
-    else:
-        for vec in classes:
-            check_witness_word(bundle, word_from_exponents(bundle.alphabet, vec))
+    for vec in classes:
+        check_witness_word(bundle, word_from_exponents(bundle.alphabet, vec))
 
     for _ in range(samples):
         word = random_word(bundle.alphabet, rng, rng.randrange(1, sample_len + 1))

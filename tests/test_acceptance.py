@@ -65,7 +65,7 @@ def test_criterion_02_free_witness_both_variants():
     for make in (free_spec, sorted_spec):
         spec = make(3, 1, 2)
         rec = verify_power_character(
-            spec, poly, exhaustive=True, samples=10000, seed=2024, assert_nonzero=True
+            spec, poly, samples=10000, seed=2024, assert_nonzero=True
         )
         assert rec["details"]["classes"] == 9
         assert rec["details"]["tested"] == 10009
@@ -156,7 +156,6 @@ def test_criterion_07_end_to_end_small_witness(sorted_witness_bundle, sorted_wit
     rec = isotypic_projection_check(
         IsotypicProjector(cover, sorted_witness_bundle),
         max_word_len=6,
-        basepoint_samples=5,
         seed=17,
     )
     assert rec["status"] == "pass"

@@ -134,6 +134,13 @@ def test_inverse_requires_unit():
         (one(spec) * 2).inverse_unit()
 
 
+def test_inverse_visits_only_reachable_degrees():
+    # B^2 = 0, so 1 + B inverts in two steps although D = 3^20
+    spec = quat_spec(3, 20)
+    b = quat_term(spec, 0, 1, 0)
+    assert (one(spec) + b).inverse_unit() == one(spec) - b
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_inverse_random_units(spec):
     rng = random.Random(ALL_SPECS.index(spec))
@@ -235,6 +242,17 @@ def test_power_matches_reference(spec):
     for a in elements:
         for e in sorted(exponents):
             assert power(a, e) == _reference_power(a, e), (a, e)
+
+
+@pytest.mark.parametrize("spec", POWER_SPECS)
+def test_power_negative_exponent_of_scaled_units(spec):
+    # c * u is invertible for every scalar c != 0, not only for c = 1
+    rng = random.Random(POWER_SPECS.index(spec))
+    for _ in range(4):
+        u = random_element(spec, rng, max_terms=rng.randrange(1, 6), unit=True)
+        for c in range(2, spec.r):
+            for e in (1, 2, spec.r, spec.cap + 1):
+                assert power(c * u, -e) * power(c * u, e) == one(spec), (u, c, e)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)

@@ -200,3 +200,26 @@ def test_quotient_monomial_out_of_byte_range_exits_two(tmp_path, capsys):
         "images": [{"monomials": [[[], 1], [[300], 1]]}, {"monomials": [[[], 1]]}],
     }
     assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+
+
+def test_quotient_residue_lengths_differ_exits_two(tmp_path, capsys):
+    # mixed lengths would be zipped and the longer vector truncated
+    quotient = {"domain": "free", "rank": 2, "type": "residue", "mod": 3, "images": [[1], [1, 2]]}
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+
+
+def test_quotient_perm_degrees_differ_exits_two(tmp_path, capsys):
+    quotient = {"domain": "free", "rank": 2, "type": "perm", "images": [[1, 0], [1, 2, 0]]}
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+
+
+def test_quotient_with_an_oversized_inverse_exits_two(tmp_path, capsys):
+    # the inverse of 1 + X1 + ... + X255 would hold all 255^3 words of length 3
+    quotient = {
+        "domain": "free",
+        "rank": 1,
+        "type": "unit",
+        "algebra": {"kind": "free", "r": 3, "k": 1, "ngens": 255},
+        "images": [{"monomials": [[[], 1]] + [[[i], 1] for i in range(255)]}],
+    }
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2

@@ -385,3 +385,16 @@ def test_quotient_from_json_unit_images():
     }
     cover = build_cover(quotient_from_json(json.loads(json.dumps(data))))
     assert cover.n_vertices == 2187
+
+
+def test_quotient_from_json_refuses_fractional_coefficients():
+    # 1.5 has no place in F_3; stored as is, it kept the closure from ever ending
+    data = {
+        "domain": "free",
+        "rank": 1,
+        "type": "unit",
+        "algebra": {"kind": "free", "r": 3, "k": 1, "ngens": 1},
+        "images": [{"monomials": [[[], 1], [[0], 1.5]]}],
+    }
+    with pytest.raises(InvalidConfig):
+        quotient_from_json(data)

@@ -165,7 +165,7 @@ def test_character_from_poly_free_witness():
 def test_verify_power_character_exhaustive():
     spec = free_spec(3, 1, 2)
     poly = build_nonvanishing(3, 2, 1)
-    rec = verify_power_character(spec, poly, exhaustive=True, samples=300, seed=7, assert_nonzero=True)
+    rec = verify_power_character(spec, poly, samples=300, seed=7, assert_nonzero=True)
     assert rec["status"] == "pass"
     assert rec["details"]["classes"] == 9
     # value is zero only on the zero class
@@ -180,7 +180,7 @@ def test_verify_power_character_holds_for_any_homogeneous_poly():
     # the character construction works for any homogeneous degree-r^k
     # polynomial, not just the non-vanishing one
     spec = free_spec(3, 1, 2)
-    rec = verify_power_character(spec, Poly(3, 2, {(2, 1): 1}), exhaustive=True)
+    rec = verify_power_character(spec, Poly(3, 2, {(2, 1): 1}))
     assert rec["status"] == "pass"
 
 
@@ -189,7 +189,7 @@ def test_verify_power_character_catches_vanishing_witness():
     spec = free_spec(3, 1, 2)
     with pytest.raises(PropertyViolation):
         verify_power_character(
-            spec, Poly(3, 2, {(3, 0): 1}), exhaustive=True, assert_nonzero=True
+            spec, Poly(3, 2, {(3, 0): 1}), assert_nonzero=True
         )
 
 

@@ -337,13 +337,6 @@ def test_crt_mixed_kernel_component():
     assert psi % 3 == 0 and psi % 5 != 0
 
 
-def test_verify_witness_parallel_matches_serial():
-    bundle = assemble_witness_free(3, 2, 1, "sorted")
-    serial = verify_witness(bundle, exhaustive=True, samples=0, seed=1, jobs=1)
-    parallel = verify_witness(bundle, exhaustive=True, samples=0, seed=1, jobs=2)
-    assert serial["details"] == parallel["details"]
-
-
 def test_verify_witness_guards_oversized_sweeps():
     # constructible but not sweepable: dense powers would exhaust memory
     bundle = assemble_witness_surface(5, 2, 2)
