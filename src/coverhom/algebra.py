@@ -574,10 +574,14 @@ class AlgElement:
 
     @classmethod
     def from_dict(cls, spec, data):
-        """Inverse of :meth:`to_dict`: a monomial is a list of integers and
-        its coefficient an integer."""
+        """Inverse of :meth:`to_dict`: each term is a [monomial,
+        coefficient] pair, a monomial a list of integers and its
+        coefficient an integer."""
         terms = {}
-        for mono, coeff in data["monomials"]:
+        for term in data["monomials"]:
+            if type(term) is not list or len(term) != 2:
+                raise InvalidConfig(f"term {term!r} is not a [monomial, coefficient] pair")
+            mono, coeff = term
             integral = isinstance(mono, list) and all(type(x) is int for x in mono)
             if not integral or type(coeff) is not int:
                 raise InvalidConfig(f"monomial {mono!r} * {coeff!r} is not integral")

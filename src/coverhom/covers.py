@@ -205,33 +205,50 @@ def _json_ints(value, what):
     return value
 
 
-def _json_int(data, key):
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _json_field(data, key, kind, where="the quotient"):
+    """``data[key]`` if ``data`` is a JSON object holding a value of type
+    ``kind`` there, else InvalidConfig naming the key."""
+    if type(data) is not dict:
+        raise InvalidConfig(f"{where} must be a JSON object, got {data!r}")
+    if key not in data:
+        raise InvalidConfig(f"{where} has no {key!r} key")
     value = data[key]
-    if type(value) is not int:
-        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+    if type(value) is not kind:
+        raise InvalidConfig(f"{key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
 def quotient_from_json(data) -> FiniteQuotient:
     """Quotient description: {"domain": "free"|"surface", "rank"|"genus": g,
-    "type": "perm"|"residue"|"unit", "images": ...}; see the README for
-    examples of each image encoding.  Counts, points, residues and
-    coefficients must be integers; permutations must share one degree and
-    residue vectors one length."""
-    kind = data["domain"]
-    alphabet = Alphabet(kind, _json_int(data, "rank" if kind == "free" else "genus"))
-    itype = data["type"]
+    "type": "perm"|"residue"|"unit", "images": [...]}, plus "mod" for
+    residue images and "algebra": {"kind", "r", "k", "ngens"} for unit
+    images; see the README for examples of each image encoding.  A missing
+    key or a value of the wrong JSON type is refused with its name.
+    Counts, points, residues and coefficients must be integers;
+    permutations must share one degree and residue vectors one length."""
+    kind = _json_field(data, "domain", str)
+    alphabet = Alphabet(kind, _json_field(data, "rank" if kind == "free" else "genus", int))
+    itype = _json_field(data, "type", str)
+    raw = _json_field(data, "images", list)
     if itype == "perm":
-        images = [PermImage(_json_ints(p, "a permutation")) for p in data["images"]]
+        images = [PermImage(_json_ints(p, "a permutation")) for p in raw]
         sizes = {len(p.map) for p in images}
     elif itype == "residue":
-        mod = _json_int(data, "mod")
-        images = [ResidueImage(_json_ints(v, "a residue vector"), mod) for v in data["images"]]
+        mod = _json_field(data, "mod", int)
+        images = [ResidueImage(_json_ints(v, "a residue vector"), mod) for v in raw]
         sizes = {len(v.vec) for v in images}
     elif itype == "unit":
-        a = data["algebra"]
-        spec = AlgebraSpec(a["kind"], *(_json_int(a, key) for key in ("r", "k", "ngens")))
-        images = [UnitImage(AlgElement.from_dict(spec, e)) for e in data["images"]]
+        a = _json_field(data, "algebra", dict)
+        spec = AlgebraSpec(
+            _json_field(a, "kind", str, "the algebra"),
+            *(_json_field(a, key, int, "the algebra") for key in ("r", "k", "ngens")),
+        )
+        for e in raw:
+            _json_field(e, "monomials", list, "a unit image")
+        images = [UnitImage(AlgElement.from_dict(spec, e)) for e in raw]
         sizes = set()
     else:
         raise InvalidConfig(f"unknown image type {itype!r}")
@@ -256,7 +273,9 @@ class CoverComplex:
     inv_targets: np.ndarray
     tree_parent: list
     nontree: list
-    nontree_pos: dict
+    # edge id -> position among the non-tree edges; tree edges hold
+    # len(nontree), which sorts after every position
+    nontree_pos: np.ndarray
     _left_perms: list = field(default=None, repr=False)
     _boundary_rows: list = field(default=None, repr=False)
     _dim_h1: int = field(default=None, repr=False)
@@ -339,9 +358,10 @@ class CoverComplex:
         """Coordinates of a cycle in the fundamental-cycle basis: its
         coefficients on the non-tree edges."""
         out = {}
+        tree = len(self.nontree)
         for eid, c in vec.items():
-            pos = self.nontree_pos.get(eid)
-            if pos is not None and c:
+            pos = int(self.nontree_pos[eid])
+            if pos != tree and c:
                 out[pos] = c
         return out
 
@@ -455,7 +475,8 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
         for i in range(ngens):
             if (v, i) not in tree_edges:
                 nontree.append((v, i))
-    nontree_pos = {v * ngens + i: pos for pos, (v, i) in enumerate(nontree)}
+    nontree_pos = np.full(len(elements) * ngens, len(nontree), dtype=np.int64)
+    nontree_pos[[v * ngens + i for v, i in nontree]] = np.arange(len(nontree))
     return CoverComplex(
         quotient,
         elements,
@@ -479,38 +500,51 @@ _RANK_PRIMES = (
     2147483489, 2147483477, 2147483423, 2147483399,
     2147483353, 2147483323, 2147483269, 2147483249,
 )
-_RANK_BLOCK = 64  # rows eliminated per numpy update in _rank_mod_p
+# entries per numpy update slice of _rank_mod_p and per batch of
+# orbit_rows, so temporaries stay small whatever the matrix shape
+_BATCH_ENTRIES = 1 << 14
 
 
 def _rank_mod_p(rows, ncols, p):
+    """Rank modulo p of integer rows (sparse dicts), by elimination on a
+    dense int64 matrix.  rank(A) = rank(A^T), so a matrix with more rows
+    than columns is filled transposed: elimination runs along the short
+    side."""
     if not rows:
         return 0
-    mat = np.zeros((len(rows), ncols), dtype=np.int64)
-    for t, row in enumerate(rows):
-        for j, c in row.items():
-            mat[t, j] = c % p
-    m = len(rows)
+    at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    cols = np.fromiter((j for row in rows for j in row), dtype=np.int64, count=at.size)
+    vals = np.fromiter(
+        (c % p for row in rows for c in row.values()), dtype=np.int64, count=at.size
+    )
+    if len(rows) > ncols:
+        mat = np.zeros((ncols, len(rows)), dtype=np.int64)
+        mat[cols, at] = vals
+    else:
+        mat = np.zeros((len(rows), ncols), dtype=np.int64)
+        mat[at, cols] = vals
+    m, n = mat.shape
     r = 0
-    for col in range(ncols):
+    for col in range(n):
         if r == m:
             break
-        nz = np.nonzero(mat[r:, col])[0]
+        nz = np.flatnonzero(mat[r:, col])
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        inv = pow(int(mat[r, col]), -1, p)
-        mat[r] = mat[r] * inv % p
-        hit = r + 1 + np.nonzero(mat[r + 1 :, col])[0]
-        # update the hit rows in slices, so the temporaries stay at
-        # _RANK_BLOCK rows whatever the number of rows hit
-        for s in range(0, hit.size, _RANK_BLOCK):
-            idx = hit[s : s + _RANK_BLOCK]
-            block = mat[idx]
-            block -= block[:, col, None] * mat[r]
+        if nz[0]:
+            mat[[r, r + nz[0]]] = mat[[r + nz[0], r]]
+        # rows r.. are zero left of col, so only the tails col: change
+        pivot = mat[r, col:]
+        pivot *= pow(int(pivot[0]), -1, p)
+        pivot %= p
+        hit = r + nz[1:]  # the rows below r with an entry in col, after the swap
+        step = max(1, _BATCH_ENTRIES // (n - col))
+        for s in range(0, hit.size, step):
+            idx = hit[s : s + step]
+            block = mat[idx, col:]
+            block -= block[:, :1] * pivot
             block %= p
-            mat[idx] = block
+            mat[idx, col:] = block
         r += 1
     return r
 
@@ -550,11 +584,6 @@ def rank_over_rationals(rows, ncols, seed: int = 0) -> int:
     if r1 == r2:
         return r1
     return _rank_exact(rows, ncols)
-
-
-def in_row_span(rows, vec, ncols, seed: int = 0) -> bool:
-    base = rank_over_rationals(rows, ncols, seed)
-    return rank_over_rationals(list(rows) + [vec], ncols, seed) == base
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +646,73 @@ def nonkernel_predicate(theta: FiniteQuotient):
     return lambda word: theta.evaluate(word).key() != ident
 
 
+def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
+    """The distinct nonzero rows, in fundamental-cycle coordinates, of the
+    elevation classes of every freely reduced word of length <= max_len
+    passing the predicate, based at every given vertex (all of them when
+    None).
+
+    Each word is walked once, at vertex 0.  Its elevation at b is the deck
+    translate of that walk by deck_perm(b), which maps edge (v, i) to
+    (perm[v], i).  That holds exactly when the permutation commutes with
+    the edge map and sends 0 to b, which is checked for every b."""
+    if basepoints is None:
+        basepoints = range(cover.n_vertices)
+    basepoints = np.fromiter(basepoints, dtype=np.int64)
+    walks = []
+    for word in reduced_words(cover.alphabet, max_len):
+        if predicate(word):
+            _, vec = elevation_class(cover, word, 0)
+            if vec:
+                walks.append(vec)
+    if not walks or not basepoints.size:
+        return []
+    # one walk per grid row, padded with edge 0 and coefficient 0
+    g, tree = cover.ngens, len(cover.nontree)
+    width = max(len(vec) for vec in walks)
+    eids = np.zeros((len(walks), width), dtype=np.int64)
+    coeffs = np.zeros((len(walks), width), dtype=np.int64)
+    for n, vec in enumerate(walks):
+        eids[n, : len(vec)] = list(vec)
+        coeffs[n, : len(vec)] = list(vec.values())
+    pad = coeffs == 0
+    verts, letters = eids // g, eids % g
+    rows, seen = [], set()
+    chunk = max(1, _BATCH_ENTRIES // max(cover.n_vertices, eids.size))
+    for at in range(0, basepoints.size, chunk):
+        bases = basepoints[at : at + chunk]
+        perms = np.array([cover.deck_perm(int(b)) for b in bases], dtype=np.int64)
+        moved = np.take(perms, cover.targets, axis=1)
+        ok = (perms[:, 0] == bases) & (cover.targets[perms] == moved).all(axis=(1, 2))
+        if not ok.all():
+            b = int(bases[np.argmin(ok)])
+            raise PropertyViolation(
+                f"deck_perm({b}) is not the deck transformation taking 0 to {b}",
+                counterexample=b,
+            )
+        # one row per (basepoint, walk): (position, coefficient) pairs sorted
+        # by the cycle position of the translated edge; tree edges and
+        # padding sort last and are cut off at the row's size
+        pos = cover.nontree_pos[perms[:, verts] * g + letters]
+        pos[:, pad] = tree
+        order = np.argsort(pos, axis=2, kind="stable")
+        pos = np.take_along_axis(pos, order, axis=2)
+        vals = np.take_along_axis(np.broadcast_to(coeffs, pos.shape), order, axis=2)
+        grid = np.stack((pos, vals), axis=3).reshape(-1, 2 * width)
+        sizes = np.count_nonzero(pos != tree, axis=2).ravel().tolist()
+        raw, stride = grid.tobytes(), grid.strides[0]
+        for t, k in enumerate(sizes):
+            key = raw[t * stride : t * stride + 2 * k * grid.itemsize]
+            if k and key not in seen:
+                seen.add(key)
+                pairs = grid[t, : 2 * k].tolist()
+                rows.append(dict(zip(pairs[::2], pairs[1::2])))
+    # shortest rows first: sparse early pivots keep the fill-in of the
+    # rank elimination down
+    rows.sort(key=len)
+    return rows
+
+
 def orbit_span_rank(
     cover: CoverComplex,
     predicate,
@@ -628,20 +724,7 @@ def orbit_span_rank(
     word of length <= max_len passing the predicate, over all basepoints
     (pass an explicit iterable of vertices to subsample large covers).
     Surface case: rank in H_1, i.e. modulo the 2-cell boundaries."""
-    if basepoints is None:
-        basepoints = range(cover.n_vertices)
-    rows = []
-    seen = set()
-    for word in reduced_words(cover.alphabet, max_len):
-        if not predicate(word):
-            continue
-        for b in basepoints:
-            _, vec = elevation_class(cover, word, b)
-            row = cover.restrict_to_cycles(vec)
-            key = tuple(sorted(row.items()))
-            if row and key not in seen:
-                seen.add(key)
-                rows.append(row)
+    rows = orbit_rows(cover, predicate, max_len, basepoints)
     dim = cover.dim_h1(seed)
     boundaries = cover.boundary_rows()
     if boundaries:
@@ -718,6 +801,10 @@ class IsotypicProjector:
     raises TooLarge instead of overflowing."""
 
     def __init__(self, cover: CoverComplex, bundle: WitnessBundle):
+        if cover.alphabet.kind != "free":
+            # is_zero_in_h1 reads a cycle as zero in H_1 only when it is the
+            # zero vector, which is sound only without 2-cells
+            raise InvalidConfig("the isotypic projector needs the cover of a free group")
         self.cover = cover
         self.bundle = bundle
         self.d = bundle.modulus
@@ -788,20 +875,10 @@ class IsotypicProjector:
         rows = np.flatnonzero(out.any(axis=1))
         return dict(zip(rows.tolist(), map(tuple, out[rows].tolist())))
 
-    def is_zero_in_h1(self, cyc_vec: dict, seed: int = 0) -> bool:
-        """Zero test for a Z[omega]-valued cycle, componentwise over Q."""
-        if self.cover.alphabet.kind == "free":
-            return not cyc_vec
-        boundaries = self.cover.boundary_rows()
-        for comp in range(self.deg):
-            row = {}
-            for eid, val in cyc_vec.items():
-                pos = self.cover.nontree_pos.get(eid)
-                if pos is not None and val[comp]:
-                    row[pos] = val[comp]
-            if row and not in_row_span(boundaries, row, self.cover.cycle_rank, seed):
-                return False
-        return True
+    def is_zero_in_h1(self, cyc_vec: dict) -> bool:
+        """Zero test for a Z[omega]-valued cycle: a free cover has no
+        2-cells, so H_1 is its cycle space."""
+        return not cyc_vec
 
 
 # One d-primitive word in this many is also checked at a random basepoint.
@@ -834,7 +911,7 @@ def isotypic_projection_check(
             continue
         m, vec = elevation_class(cover, word, 0)
         image = proj.apply_int(vec)
-        if not proj.is_zero_in_h1(image, seed):
+        if not proj.is_zero_in_h1(image):
             raise PropertyViolation(
                 f"projection of the elevation of {word.render()} (m={m}) is nonzero",
                 counterexample=word.render(),
@@ -852,7 +929,7 @@ def isotypic_projection_check(
                     f"for {word.render()}",
                     counterexample=(word.render(), b),
                 )
-            if not proj.is_zero_in_h1(proj.apply_int(bvec), seed):
+            if not proj.is_zero_in_h1(proj.apply_int(bvec)):
                 raise PropertyViolation(
                     f"projection nonzero at basepoint {b} for {word.render()}",
                     counterexample=(word.render(), b),
@@ -861,7 +938,7 @@ def isotypic_projection_check(
     witness_pos = None
     for pos in range(len(cover.nontree)):
         image = proj.apply_int(cover.fundamental_cycle(pos))
-        if not proj.is_zero_in_h1(image, seed):
+        if not proj.is_zero_in_h1(image):
             witness_pos = pos
             break
     if witness_pos is None:

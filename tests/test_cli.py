@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coverhom.cli import main
 
 
@@ -145,7 +147,17 @@ def test_witness_e2e_orbit_rank_guard(capsys):
     assert code == 2
     checks = json.loads(out)["checks"]
     assert [c["status"] for c in checks] == ["pass"] * 4 + ["guard"]
+    assert checks[-1]["name"] == "orbit-span"
     assert "exceeds --guard-dim 10" in checks[-1]["details"]["error"]
+
+
+def test_error_record_takes_the_check_name(capsys):
+    # the m-kind factor at r = 5, g = 2 is beyond the sweep guard: the
+    # witness sweep stops with the name its pass record would have
+    code, out = _run(capsys, "verify-surface", "--r", "5", "--genus", "2")
+    assert code == 2
+    last = json.loads(out)["checks"][-1]
+    assert (last["name"], last["status"]) == ("witness-surface", "error")
 
 
 def test_guard_outside_a_check_still_reports(capsys):
@@ -167,6 +179,21 @@ def _bad_quotient_exit(tmp_path, text):
     quot = tmp_path / "q.json"
     quot.write_text(text)
     return main(["cover-report", "--quotient", str(quot)])
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"rank": 2, "type": "residue", "mod": 3, "images": [[1], [0]]}', "'domain'"),
+        ("[1, 2]", "JSON object"),
+        ('{"domain": "free", "rank": 2, "type": "residue", "mod": 3, "images": 5}', "'images'"),
+    ],
+)
+def test_quotient_schema_error_names_the_field(tmp_path, capsys, text, field):
+    assert _bad_quotient_exit(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert field in err and len(err.strip().splitlines()) == 1
+    assert "KeyError" not in err and "TypeError" not in err
 
 
 def test_quotient_non_unit_quat_image_exits_two(tmp_path, capsys):

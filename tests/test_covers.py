@@ -9,6 +9,7 @@ from coverhom import (
     InvalidConfig,
     IsotypicProjector,
     PermImage,
+    PropertyViolation,
     ResidueImage,
     TooLarge,
     UnitImage,
@@ -25,9 +26,18 @@ from coverhom import (
     quotient_from_json,
     random_quotient,
     rank_over_rationals,
+    reduced_words,
     symbol,
 )
-from coverhom.covers import _RANK_PRIMES, _rank_exact, cyclotomic_polynomial, omega_powers
+from coverhom import covers
+from coverhom.covers import (
+    _RANK_PRIMES,
+    _rank_exact,
+    _rank_mod_p,
+    cyclotomic_polynomial,
+    omega_powers,
+    orbit_rows,
+)
 
 FREE2 = Alphabet("free", 2)
 SURF2 = Alphabet("surface", 2)
@@ -36,6 +46,12 @@ SURF2 = Alphabet("surface", 2)
 def _z3_free_cover():
     q = FiniteQuotient(FREE2, (ResidueImage((1,), 3), ResidueImage((0,), 3)))
     return build_cover(q)
+
+
+def _s5_surface_cover():
+    # genus 2 onto S_5: images (a, b, b, a), a a 5-cycle, b a transposition
+    a, b = PermImage((1, 2, 3, 4, 0)), PermImage((1, 0, 2, 3, 4))
+    return build_cover(FiniteQuotient(SURF2, (a, b, b, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +204,7 @@ def test_rank_modular_matches_exact_random():
 
 
 def test_rank_tall_deficient_matrix_matches_exact():
-    # 300 rows: the first pivot hits more rows than one elimination slice
+    # 300 rows of rank 12, eliminated transposed along the 40-column side
     rng = random.Random(61)
     left = [[rng.randrange(-3, 4) for _ in range(12)] for _ in range(300)]
     right = [[rng.randrange(-3, 4) for _ in range(40)] for _ in range(12)]
@@ -197,6 +213,96 @@ def test_rank_tall_deficient_matrix_matches_exact():
         row = {j: sum(x * right[t][j] for t, x in enumerate(a)) for j in range(40)}
         rows.append({j: c for j, c in row.items() if c})
     assert rank_over_rationals(rows, 40, seed=3) == _rank_exact(rows, 40) == 12
+
+
+def _rows_of_rank(rng, nrows, ncols, rank):
+    """Sparse integer rows: a seeded nrows x rank times rank x ncols product."""
+    left = [[rng.randrange(-3, 4) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randrange(-2, 3) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for a in left:
+        row = {j: sum(x * right[t][j] for t, x in enumerate(a)) for j in range(ncols)}
+        rows.append({j: c for j, c in row.items() if c})
+    return rows
+
+
+def _transpose(rows, ncols):
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            out[j][i] = c
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 40])
+def test_rank_mod_p_matches_exact_tall_wide_and_transposed(monkeypatch, budget):
+    # a budget of 40 entries updates at most 2 hit rows per step, so the
+    # first pivots of these matrices update their hit rows in many steps
+    if budget is not None:
+        monkeypatch.setattr(covers, "_BATCH_ENTRIES", budget)
+    rng = random.Random(808)
+    for nrows, ncols, rank in ((70, 18, 9), (18, 70, 9), (45, 30, 30), (30, 30, 17)):
+        rows = _rows_of_rank(rng, nrows, ncols, rank)
+        cols = _transpose(rows, ncols)
+        expect = _rank_exact(rows, ncols)
+        assert expect == _rank_exact(cols, nrows) == rank
+        for p in _RANK_PRIMES[:2]:
+            assert _rank_mod_p(rows, ncols, p) == expect
+            assert _rank_mod_p(cols, nrows, p) == expect
+
+
+def _reference_orbit_rows(cover, predicate, max_len, basepoints):
+    """The per-basepoint loop orbit_rows replaced, kept as an oracle: every
+    word is walked from every basepoint."""
+    rows = set()
+    for word in reduced_words(cover.alphabet, max_len):
+        if predicate(word):
+            for b in basepoints:
+                _, vec = elevation_class(cover, word, b)
+                row = cover.restrict_to_cycles(vec)
+                if row:
+                    rows.add(tuple(sorted(row.items())))
+    return rows
+
+
+def _row_set(rows):
+    keys = {tuple(sorted(row.items())) for row in rows}
+    assert len(keys) == len(rows)  # no row twice
+    return keys
+
+
+def test_orbit_rows_match_per_basepoint_walks_surface():
+    cover = _s5_surface_cover()
+    primitive = d_primitive_predicate(3)
+    rows = orbit_rows(cover, primitive, 3)
+    assert _row_set(rows) == _reference_orbit_rows(cover, primitive, 3, range(120))
+    assert [len(row) for row in rows] == sorted(len(row) for row in rows)
+
+
+def test_orbit_rows_match_per_basepoint_walks_witness(sorted_witness_cover):
+    cover = sorted_witness_cover
+    rng = random.Random(5)
+    basepoints = [0] + [rng.randrange(cover.n_vertices) for _ in range(2)]
+    primitive = d_primitive_predicate(3)
+    rows = orbit_rows(cover, primitive, 3, basepoints)
+    assert _row_set(rows) == _reference_orbit_rows(cover, primitive, 3, basepoints)
+
+
+@pytest.mark.parametrize("fault", ["swap", "other_basepoint"])
+def test_orbit_span_refuses_a_translate_that_is_not_a_deck_map(monkeypatch, fault):
+    cover = _s5_surface_cover()
+    deck_perm = cover.deck_perm
+
+    def wrong(v):
+        if fault == "other_basepoint":  # a deck map, but taking 0 elsewhere
+            return deck_perm((v + 1) % cover.n_vertices)
+        perm = deck_perm(v).copy()
+        perm[[1, 2]] = perm[[2, 1]]
+        return perm
+
+    monkeypatch.setattr(cover, "deck_perm", wrong)
+    with pytest.raises(PropertyViolation):
+        orbit_span_rank(cover, lambda w: True, 1)
 
 
 def test_full_group_spans_everything():
@@ -275,6 +381,13 @@ def test_isotypic_certificate_small(sorted_witness_bundle, sorted_witness_cover)
     assert rec["status"] == "pass"
     assert rec["details"]["central_order"] == 81
     assert rec["details"]["h1_witness_cycle"] is not None
+
+
+def test_projector_refuses_a_surface_cover(sorted_witness_bundle):
+    # its zero test reads a cycle as zero in H_1 only if it is the zero
+    # vector, which a surface cover's boundaries would make unsound
+    with pytest.raises(InvalidConfig):
+        IsotypicProjector(_s5_surface_cover(), sorted_witness_bundle)
 
 
 def test_isotypic_invariants(sorted_witness_bundle, sorted_witness_cover):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from coverhom import Alphabet, d_primitive_predicate, reduced_words
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -48,3 +50,21 @@ def test_trace_cli_counts_power_products(tmp_path):
     )
     assert metrics["algebra.power.calls"] == 508
     assert 0 < metrics["algebra.power.mul_per_call"] < 5
+
+
+def test_trace_cli_walks_each_orbit_word_once(tmp_path):
+    # the orbit rows of every basepoint are deck translates of one walk
+    # per word, so elevation_class runs once per word that passes
+    quot = tmp_path / "s5.json"
+    quot.write_text(json.dumps({
+        "domain": "surface", "genus": 2, "type": "perm",
+        "images": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+    }))
+    metrics = _traced(
+        tmp_path, "cover-report", "--quotient", str(quot), "--orbit", "d-primitive",
+        "--d", "3", "--max-word-len", "2",
+    )
+    primitive = d_primitive_predicate(3)
+    words = [w for w in reduced_words(Alphabet("surface", 2), 2) if primitive(w)]
+    assert metrics["covers.elevation_class.calls"] == len(words)
+    assert metrics["covers.rank_over_rationals.calls"] == 2
