@@ -682,8 +682,8 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
     for at in range(0, basepoints.size, chunk):
         bases = basepoints[at : at + chunk]
         perms = np.array([cover.deck_perm(int(b)) for b in bases], dtype=np.int64)
-        moved = np.take(perms, cover.targets, axis=1)
-        ok = (perms[:, 0] == bases) & (cover.targets[perms] == moved).all(axis=(1, 2))
+        commutes = (cover.targets[perms] == perms[:, cover.targets]).all(axis=(1, 2))
+        ok = commutes & (perms[:, 0] == bases)
         if not ok.all():
             b = int(bases[np.argmin(ok)])
             raise PropertyViolation(
