@@ -363,8 +363,30 @@ def cmd_crt_lift(args):
 # argument parsing
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than ``low``, so a count
+    that would make a check vacuous is refused as bad input."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments exit 2 with the one-line message alone; ``-h``
+    still prints the usage.  Subcommand parsers take this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coverhom",
         description="exact witnesses for covers with proper d-primitive homology",
     )
@@ -403,9 +425,9 @@ def build_parser():
     p = sub.add_parser("cover-report", help="dimensions and orbit spans of a cover")
     p.add_argument("--quotient", required=True, help="JSON quotient description")
     p.add_argument("--orbit", choices=("all", "d-primitive", "theta-nonkernel"), default=None)
-    p.add_argument("--d", type=int, default=3)
+    p.add_argument("--d", type=_at_least(2), default=3)
     p.add_argument("--theta", help="JSON quotient for the theta-nonkernel orbit")
-    p.add_argument("--max-word-len", type=int, default=4)
+    p.add_argument("--max-word-len", type=_at_least(1), default=4)
     p.add_argument("--guard-vertices", type=int, default=10 ** 5)
     p.add_argument("--guard-dim", type=int, default=20000)
     common(p)
@@ -416,11 +438,11 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--variant", choices=("full", "sorted"), default="sorted")
-    p.add_argument("--max-word-len", type=int, default=6)
+    p.add_argument("--max-word-len", type=_at_least(1), default=6)
     p.add_argument("--orbit-rank", action="store_true",
                    help="also compute the rank of a sampled d-primitive span directly")
-    p.add_argument("--orbit-word-len", type=int, default=5)
-    p.add_argument("--orbit-basepoints", type=int, default=6)
+    p.add_argument("--orbit-word-len", type=_at_least(1), default=5)
+    p.add_argument("--orbit-basepoints", type=_at_least(1), default=6)
     p.add_argument("--guard-vertices", type=int, default=10 ** 5)
     p.add_argument("--guard-dim", type=int, default=20000)
     common(p)

@@ -276,7 +276,7 @@ class CoverComplex:
     # edge id -> position among the non-tree edges; tree edges hold
     # len(nontree), which sorts after every position
     nontree_pos: np.ndarray
-    _left_perms: list = field(default=None, repr=False)
+    _tree_levels: list = field(default=None, repr=False)
     _boundary_rows: list = field(default=None, repr=False)
     _dim_h1: int = field(default=None, repr=False)
     _orders: dict = field(default_factory=dict, repr=False)
@@ -367,36 +367,50 @@ class CoverComplex:
 
     # -- deck action -------------------------------------------------------
 
-    def left_perms(self):
-        """Vertex permutations of left multiplication by each generator."""
-        if self._left_perms is None:
-            perms = []
-            for img in self.quotient.images:
-                perm = np.empty(self.n_vertices, dtype=np.int64)
-                for v, elem in enumerate(self.elements):
-                    perm[v] = self.index[img.mul(elem).key()]
-                perms.append(perm)
-            self._left_perms = perms
-        return self._left_perms
-
-    def tree_word(self, v: int):
-        path = []
-        while v:
-            u, i = self.tree_parent[v]
-            path.append(i)
-            v = u
-        path.reverse()
-        return path
+    def tree_levels(self):
+        """The spanning tree by depth: one (vertices, parents, letters)
+        triple of arrays per level below the root, vertex u of a level
+        being targets[parent, letter]."""
+        if self._tree_levels is None:
+            depth = [0] * self.n_vertices
+            for u in range(1, self.n_vertices):
+                depth[u] = depth[self.tree_parent[u][0]] + 1
+            # BFS numbers the vertices level by level
+            ends = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
+            parents, letters = np.array(self.tree_parent[1:], dtype=np.int64).reshape(-1, 2).T
+            self._tree_levels = [
+                (np.arange(lo, hi), parents[lo - 1 : hi - 1], letters[lo - 1 : hi - 1])
+                for lo, hi in zip(ends[:-1], ends[1:])
+            ]
+        return self._tree_levels
 
     def deck_perm(self, v: int) -> np.ndarray:
         """Permutation of vertices given by left multiplication with the
-        group element of vertex v, composed from the generator perms along
-        v's tree word."""
-        lp = self.left_perms()
-        perm = np.arange(self.n_vertices, dtype=np.int64)
-        for i in reversed(self.tree_word(v)):
-            perm = lp[i][perm]
+        group element x_v of vertex v.  It sends 0 to v and commutes with
+        the right-multiplication edges, so it sends a vertex with tree
+        parent (w, i) to targets[perm[w], i]: filled level by level down
+        the spanning tree, with no product in the group."""
+        perm = np.empty(self.n_vertices, dtype=np.int64)
+        perm[0] = v
+        for verts, parents, letters in self.tree_levels():
+            perm[verts] = self.targets[perm[parents], letters]
         return perm
+
+    def check_deck_perms(self, vertices, perms: np.ndarray):
+        """Raise PropertyViolation naming the first vertex v whose row of
+        ``perms`` is not the deck transformation taking 0 to v: a vertex
+        permutation that sends 0 to v and commutes with the edge map."""
+        step = max(1, _BATCH_ENTRIES // self.n_edges)
+        for at in range(0, len(vertices), step):
+            block = perms[at : at + step]
+            ok = (self.targets[block] == block[:, self.targets]).all(axis=(1, 2))
+            ok &= block[:, 0] == vertices[at : at + step]
+            if not ok.all():
+                v = int(vertices[at + int(np.argmin(ok))])
+                raise PropertyViolation(
+                    f"deck_perm({v}) is not the deck transformation taking 0 to {v}",
+                    counterexample=v,
+                )
 
     def deck_translate(self, perm: np.ndarray, vec: dict) -> dict:
         g = self.ngens
@@ -500,53 +514,95 @@ _RANK_PRIMES = (
     2147483489, 2147483477, 2147483423, 2147483399,
     2147483353, 2147483323, 2147483269, 2147483249,
 )
-# entries per numpy update slice of _rank_mod_p and per batch of
-# orbit_rows, so temporaries stay small whatever the matrix shape
+# entries per numpy update or scan slice of _rank_mod_p and per batch of
+# orbit_rows and the deck-map check, so temporaries stay small whatever
+# the matrix shape
 _BATCH_ENTRIES = 1 << 14
+# width of the first window _leads scans; each further window is 4x wider
+_LEAD_WINDOW = 256
 
 
-def _rank_mod_p(rows, ncols, p):
-    """Rank modulo p of integer rows (sparse dicts), by elimination on a
-    dense int64 matrix.  rank(A) = rank(A^T), so a matrix with more rows
-    than columns is filled transposed: elimination runs along the short
-    side."""
-    if not rows:
-        return 0
+def _leads(mat, rows, start):
+    """First nonzero column at or after ``start`` of each of the given
+    rows of mat, or the column count where a row has none.  The rows are
+    scanned in windows growing fourfold, since a lead after an update is
+    usually near the old one."""
+    n = mat.shape[1]
+    lead = np.full(rows.size, n, dtype=np.int64)
+    todo = np.arange(rows.size)
+    lo, width = start, _LEAD_WINDOW
+    while todo.size and lo < n:
+        w = min(width, n - lo, _BATCH_ENTRIES)
+        step = max(1, _BATCH_ENTRIES // w)
+        for s in range(0, todo.size, step):
+            idx = todo[s : s + step]
+            window = mat[rows[idx], lo : lo + w] != 0
+            found = window.any(axis=1)
+            lead[idx[found]] = lo + window[found].argmax(axis=1)
+        todo = todo[lead[todo] == n]
+        lo += w
+        width *= 4
+    return lead
+
+
+def _dense_mod_p(rows, ncols, p):
+    """Integer rows (sparse dicts) as a dense matrix of residues mod p.
+    The rank primes are below 2^31, so residues are stored as int32, half
+    the memory of int64; updates are computed in int64.  rank(A) =
+    rank(A^T), so a matrix with more rows than columns is filled
+    transposed and its elimination runs along the short side.  The flat
+    fill arrays are freed on return, before any elimination."""
     at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     cols = np.fromiter((j for row in rows for j in row), dtype=np.int64, count=at.size)
     vals = np.fromiter(
         (c % p for row in rows for c in row.values()), dtype=np.int64, count=at.size
     )
     if len(rows) > ncols:
-        mat = np.zeros((ncols, len(rows)), dtype=np.int64)
+        mat = np.zeros((ncols, len(rows)), dtype=np.int32)
         mat[cols, at] = vals
     else:
-        mat = np.zeros((len(rows), ncols), dtype=np.int64)
+        mat = np.zeros((len(rows), ncols), dtype=np.int32)
         mat[at, cols] = vals
-    m, n = mat.shape
+    return mat
+
+
+def _rank_mod_p(rows, ncols, p):
+    """Rank modulo p of integer rows (sparse dicts), by elimination on the
+    dense matrix of ``_dense_mod_p``, along its short side.
+
+    Each step visits one pivot column only: the least lead (first nonzero
+    column) among the live rows.  The rows leading there are the pivot and
+    the rows it clears; they are updated on the pivot's support alone,
+    since the pivot row is zero elsewhere, and then their new leads are
+    found by a scan from the next column.  Rows whose lead runs off the
+    end are zero and drop out."""
+    if not rows:
+        return 0
+    mat = _dense_mod_p(rows, ncols, p)
+    n = mat.shape[1]
+    lead = _leads(mat, np.arange(mat.shape[0]), 0)
     r = 0
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.flatnonzero(mat[r:, col])
-        if nz.size == 0:
+    while True:
+        col = int(lead.min(initial=n))
+        if col == n:
+            return r
+        leaders = np.flatnonzero(lead == col)
+        lead[leaders[0]] = n  # the pivot row is used up
+        r += 1
+        hit = leaders[1:]
+        if not hit.size:
             continue
-        if nz[0]:
-            mat[[r, r + nz[0]]] = mat[[r + nz[0], r]]
-        # rows r.. are zero left of col, so only the tails col: change
-        pivot = mat[r, col:]
-        pivot *= pow(int(pivot[0]), -1, p)
-        pivot %= p
-        hit = r + nz[1:]  # the rows below r with an entry in col, after the swap
-        step = max(1, _BATCH_ENTRIES // (n - col))
+        row = mat[leaders[0]]
+        supp = col + np.flatnonzero(row[col:])
+        pivot = row[supp].astype(np.int64) * pow(int(row[col]), -1, p) % p
+        step = max(1, _BATCH_ENTRIES // supp.size)
         for s in range(0, hit.size, step):
-            idx = hit[s : s + step]
-            block = mat[idx, col:]
+            idx = (hit[s : s + step, None], supp)
+            block = mat[idx].astype(np.int64)
             block -= block[:, :1] * pivot
             block %= p
-            mat[idx, col:] = block
-        r += 1
-    return r
+            mat[idx] = block
+        lead[hit] = _leads(mat, hit, col + 1)
 
 
 def _rank_exact(rows, ncols):
@@ -682,14 +738,7 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
     for at in range(0, basepoints.size, chunk):
         bases = basepoints[at : at + chunk]
         perms = np.array([cover.deck_perm(int(b)) for b in bases], dtype=np.int64)
-        commutes = (cover.targets[perms] == perms[:, cover.targets]).all(axis=(1, 2))
-        ok = commutes & (perms[:, 0] == bases)
-        if not ok.all():
-            b = int(bases[np.argmin(ok)])
-            raise PropertyViolation(
-                f"deck_perm({b}) is not the deck transformation taking 0 to {b}",
-                counterexample=b,
-            )
+        cover.check_deck_perms(bases, perms)
         # one row per (basepoint, walk): (position, coefficient) pairs sorted
         # by the cycle position of the translated edge; tree edges and
         # padding sort last and are cut off at the row's size
@@ -818,8 +867,10 @@ class IsotypicProjector:
         self.psi_values = [
             self._psi(self._parts(cover.elements[v])) for v in central
         ]
-        # (|C|, V): vertex permutation of each central deck element
+        # (|C|, V): vertex permutation of each central deck element, checked
+        # to be the deck map it stands for
         self.perms = np.array([cover.deck_perm(v) for v in central], dtype=np.int64)
+        cover.check_deck_perms(central, self.perms)
         # (|C|, deg, deg): row j of slice c is omega^(j - psi(c))
         powers = omega_powers(self.d)
         self.deg = len(powers[0])

@@ -250,3 +250,30 @@ def test_quotient_with_an_oversized_inverse_exits_two(tmp_path, capsys):
         "images": [{"monomials": [[[], 1]] + [[[i], 1] for i in range(255)]}],
     }
     assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+
+
+WITNESS = ("witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        # the basepoint list was [0] plus count - 1 draws: 0 and -3 gave one
+        (WITNESS + ("--orbit-rank", "--orbit-basepoints", "0"), "--orbit-basepoints"),
+        # no word of length <= -1 exists, so nothing was checked
+        (WITNESS[:-1] + ("-1",), "--max-word-len"),
+        (WITNESS + ("--orbit-rank", "--orbit-word-len", "-1"), "--orbit-word-len"),
+        (("cover-report", "--quotient", "q.json", "--orbit", "all", "--max-word-len", "-2"),
+         "--max-word-len"),
+        # d = 0 divided by zero; d = 1 makes no word d-primitive
+        (("cover-report", "--quotient", "q.json", "--d", "0"), "--d"),
+    ],
+)
+def test_vacuous_count_exits_two_with_one_line(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and f"argument {option}: must be at least" in lines[0]

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from coverhom import (
+    AlgElement,
     Alphabet,
     FiniteQuotient,
     GroupWord,
@@ -23,6 +25,7 @@ from coverhom import (
     nonkernel_predicate,
     one,
     orbit_span_rank,
+    quotient_from_bundle,
     quotient_from_json,
     random_quotient,
     rank_over_rationals,
@@ -251,6 +254,98 @@ def test_rank_mod_p_matches_exact_tall_wide_and_transposed(monkeypatch, budget):
             assert _rank_mod_p(cols, nrows, p) == expect
 
 
+def _reference_rank_mod_p(rows, ncols, p):
+    """The column-by-column kernel _rank_mod_p replaced, kept as an
+    oracle: every column is scanned below the current row, and each hit
+    row is updated over its whole tail."""
+    if not rows:
+        return 0
+    mat = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            mat[i, j] = c % p
+    if len(rows) > ncols:
+        mat = np.ascontiguousarray(mat.T)
+    m, n = mat.shape
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(mat[r:, col])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            mat[[r, r + nz[0]]] = mat[[r + nz[0], r]]
+        pivot = mat[r, col:]
+        pivot *= pow(int(pivot[0]), -1, p)
+        pivot %= p
+        hit = r + nz[1:]
+        step = max(1, covers._BATCH_ENTRIES // (n - col))
+        for s in range(0, hit.size, step):
+            idx = hit[s : s + step]
+            block = mat[idx, col:]
+            block -= block[:, :1] * pivot
+            block %= p
+            mat[idx, col:] = block
+        r += 1
+    return r
+
+
+def _far_lead_rows(rng, nrows, ncols, rank):
+    """Sparse rows of rank <= ``rank`` on a few columns spread over more
+    than 1,024: clearing a lead leaves the next nonzero of a row past the
+    first two scan windows, some rows are zero and most columns are."""
+    spots = sorted(rng.sample(range(ncols), 12) + [0, 1])
+    basis = [
+        {j: rng.randrange(-2, 3) for j in rng.sample(spots, rng.randrange(1, 5))}
+        for _ in range(rank)
+    ]
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for vec in rng.sample(basis, rng.randrange(0, rank + 1)):
+            c = rng.randrange(-3, 4)
+            for j, x in vec.items():
+                row[j] = row.get(j, 0) + c * x
+        rows.append({j: c for j, c in row.items() if c})
+    return rows
+
+
+@pytest.mark.parametrize("budget", [None, 40])
+def test_rank_mod_p_matches_the_column_kernel(monkeypatch, budget):
+    # small primes can drop the rank below the rank over Q; the kernels
+    # must still agree
+    if budget is not None:
+        monkeypatch.setattr(covers, "_BATCH_ENTRIES", budget)
+    leads = covers._leads
+    jumps = [0]
+
+    def recording(mat, rows, start):
+        out = leads(mat, rows, start)
+        jumps.extend((out[out < mat.shape[1]] - start).tolist())
+        return out
+
+    monkeypatch.setattr(covers, "_leads", recording)
+    rng = random.Random(4127)
+    primes = _RANK_PRIMES[:2] + (3, 5, 7)
+    for trial in range(40):
+        if trial % 4:
+            nrows, ncols = rng.randrange(1, 25), rng.randrange(1, 25)
+            rows = _rows_of_rank(rng, nrows, ncols, rng.randrange(0, min(nrows, ncols) + 1))
+        else:
+            nrows, ncols = rng.randrange(2, 30), rng.randrange(1300, 3000)
+            rows = _far_lead_rows(rng, nrows, ncols, rng.randrange(1, 8))
+        cols = _transpose(rows, ncols)
+        for p in primes:
+            expect = _reference_rank_mod_p(rows, ncols, p)
+            assert _rank_mod_p(rows, ncols, p) == expect
+            assert _rank_mod_p(cols, nrows, p) == expect
+    # some lead was found beyond the first two scan windows
+    assert max(jumps) > covers._LEAD_WINDOW * 5
+    # zero rows and no columns at all: an empty matrix either way round
+    assert _rank_mod_p([{}, {}], 0, 3) == _reference_rank_mod_p([{}, {}], 0, 3) == 0
+
+
 def _reference_orbit_rows(cover, predicate, max_len, basepoints):
     """The per-basepoint loop orbit_rows replaced, kept as an oracle: every
     word is walked from every basepoint."""
@@ -288,9 +383,7 @@ def test_orbit_rows_match_per_basepoint_walks_witness(sorted_witness_cover):
     assert _row_set(rows) == _reference_orbit_rows(cover, primitive, 3, basepoints)
 
 
-@pytest.mark.parametrize("fault", ["swap", "other_basepoint"])
-def test_orbit_span_refuses_a_translate_that_is_not_a_deck_map(monkeypatch, fault):
-    cover = _s5_surface_cover()
+def _break_deck_perm(monkeypatch, cover, fault):
     deck_perm = cover.deck_perm
 
     def wrong(v):
@@ -301,8 +394,64 @@ def test_orbit_span_refuses_a_translate_that_is_not_a_deck_map(monkeypatch, faul
         return perm
 
     monkeypatch.setattr(cover, "deck_perm", wrong)
+
+
+@pytest.mark.parametrize("fault", ["swap", "other_basepoint"])
+def test_orbit_span_refuses_a_translate_that_is_not_a_deck_map(monkeypatch, fault):
+    cover = _s5_surface_cover()
+    _break_deck_perm(monkeypatch, cover, fault)
     with pytest.raises(PropertyViolation):
         orbit_span_rank(cover, lambda w: True, 1)
+
+
+@pytest.mark.parametrize("fault", ["swap", "other_basepoint"])
+def test_projector_refuses_a_permutation_that_is_not_a_deck_map(
+    monkeypatch, sorted_witness_bundle, sorted_witness_cover, fault
+):
+    cover = sorted_witness_cover
+    _break_deck_perm(monkeypatch, cover, fault)
+    with pytest.raises(PropertyViolation) as exc:
+        IsotypicProjector(cover, sorted_witness_bundle)
+    # the identity is the first central vertex
+    assert exc.value.counterexample == 0 and "deck_perm(0)" in str(exc.value)
+
+
+def _reference_deck_perms(cover, vertices):
+    """The algebraic deck maps deck_perm replaced, kept as an oracle: the
+    left multiplications by each generator image, found by products in
+    the group, composed along each vertex's tree word."""
+    left = [
+        np.array([cover.index[img.mul(elem).key()] for elem in cover.elements])
+        for img in cover.quotient.images
+    ]
+    for v in vertices:
+        perm = np.arange(cover.n_vertices)
+        while v:  # the tree word read from v back to the root
+            v, i = cover.tree_parent[v]
+            perm = left[i][perm]
+        yield perm
+
+
+def test_deck_perm_matches_algebraic_left_multiplication(sorted_witness_cover):
+    rng = random.Random(1723)
+    for cover, vertices in (
+        (_s5_surface_cover(), range(120)),
+        (sorted_witness_cover, rng.sample(range(sorted_witness_cover.n_vertices), 20)),
+    ):
+        for v, ref in zip(vertices, _reference_deck_perms(cover, vertices)):
+            assert np.array_equal(cover.deck_perm(v), ref)
+
+
+def test_deck_perm_multiplies_nothing(monkeypatch, sorted_witness_bundle):
+    cover = build_cover(quotient_from_bundle(sorted_witness_bundle))
+
+    def refuse(self, other):
+        raise AssertionError("deck_perm took a product in the algebra")
+
+    monkeypatch.setattr(AlgElement, "__mul__", refuse)
+    vertices = [0, 1, 5, cover.n_vertices - 1]
+    perms = np.array([cover.deck_perm(v) for v in vertices])
+    cover.check_deck_perms(vertices, perms)
 
 
 def test_full_group_spans_everything():
