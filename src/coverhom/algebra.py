@@ -679,7 +679,7 @@ def power(a: AlgElement, e: int) -> AlgElement:
             break
         if digit:
             # (1 + z)^digit by the binomial theorem; z^i vanishes once i*r^j > D
-            factor, zi = 1 + z * digit, z
+            factor, zi = 1 + (z if digit == 1 else z * digit), z
             for i in range(2, min(digit, cap // step) + 1):
                 zi = zi * z
                 factor = factor + zi * math.comb(digit, i)

@@ -75,17 +75,7 @@ def _timed(checks, fn, *args, **kwargs):
     try:
         record = fn(*args, **kwargs)
     except PropertyViolation as exc:
-        checks.append(
-            {
-                "name": _check_name(fn, args),
-                "status": "fail",
-                "details": {
-                    "error": str(exc),
-                    "counterexample": getattr(exc, "counterexample", None),
-                },
-                "wall_time_s": round(time.perf_counter() - t0, 6),
-            }
-        )
+        checks.append(_failed(_check_name(fn, args), exc, time.perf_counter() - t0))
         return None
     except (InvalidConfig, TooLarge) as exc:
         checks.append(_aborted(_check_name(fn, args), exc, time.perf_counter() - t0))
@@ -93,6 +83,19 @@ def _timed(checks, fn, *args, **kwargs):
     record["wall_time_s"] = round(time.perf_counter() - t0, 6)
     checks.append(record)
     return record
+
+
+def _failed(name, exc, wall):
+    """The record of a check that found a property violated."""
+    return {
+        "name": name,
+        "status": "fail",
+        "details": {
+            "error": str(exc),
+            "counterexample": getattr(exc, "counterexample", None),
+        },
+        "wall_time_s": round(wall, 6),
+    }
 
 
 def _aborted(name, exc, wall):
@@ -297,11 +300,19 @@ def cmd_witness_e2e(args):
         quotient = quotient_from_bundle(bundle)
         cover = build_cover(quotient, guard_vertices=args.guard_vertices)
         _timed(checks, gaschutz_check, cover, args.seed)
-        proj = IsotypicProjector(cover, bundle)
-        _timed(checks, isotypic_invariants, proj, samples=3, seed=args.seed)
-        record = _timed(checks, isotypic_projection_check, proj,
-                        max_word_len=args.max_word_len, seed=args.seed)
-        del proj  # free the (|C|, V) permutation array before the dense orbit rank
+        # the projector certifies its central slice as it is built; a
+        # violation there fails the invariants check, and no certificate
+        # follows
+        t0 = time.perf_counter()
+        try:
+            proj = IsotypicProjector(cover, bundle)
+        except PropertyViolation as exc:
+            checks.append(_failed("isotypic-invariants", exc, time.perf_counter() - t0))
+            record = None
+        else:
+            _timed(checks, isotypic_invariants, proj, samples=3, seed=args.seed)
+            record = _timed(checks, isotypic_projection_check, proj,
+                            max_word_len=args.max_word_len, seed=args.seed)
         if args.orbit_rank:
             rng = random.Random(args.seed)
             basepoints = [0] + [

@@ -681,11 +681,17 @@ def gaschutz_check(cover: CoverComplex, seed: int = 0) -> dict:
 def elevation_class(cover: CoverComplex, word: GroupWord, basepoint: int = 0):
     """(m, edge vector) with m the order of theta(word) and the vector the
     lift of word^m starting at the basepoint.  m does not depend on the
-    basepoint and is computed once per word."""
+    basepoint and is computed once per word, off the Cayley graph: the
+    lift of word from vertex x ends at x * theta(word), so m is the first
+    return of the repeated walk from vertex 0 to vertex 0."""
     m = cover._orders.get(word.letters)
     if m is None:
-        img = cover.quotient.evaluate(word)
-        m = cover.quotient.element_order(img, guard=cover.n_vertices + 1)
+        guard = cover.n_vertices + 1
+        v, m = cover.walk_vec(word, 0)[0], 1
+        while v:
+            v, m = cover.walk_vec(word, v)[0], m + 1
+            if m > guard:
+                raise TooLarge(f"element order exceeds guard {guard}")
         cover._orders[word.letters] = m
     end, vec = cover.walk_vec(word, basepoint, repeats=m)
     if end != basepoint:
@@ -700,6 +706,19 @@ def d_primitive_predicate(d: int):
 def nonkernel_predicate(theta: FiniteQuotient):
     ident = theta.identity.key()
     return lambda word: theta.evaluate(word).key() != ident
+
+
+def _stack_walks(walks):
+    """Integer edge vectors (sparse dicts) as two (len(walks), width)
+    arrays of edge ids and coefficients, one walk per row, padded with
+    edge 0 and coefficient 0."""
+    width = max((len(vec) for vec in walks), default=0)
+    eids = np.zeros((len(walks), width), dtype=np.int64)
+    coeffs = np.zeros((len(walks), width), dtype=np.int64)
+    for n, vec in enumerate(walks):
+        eids[n, : len(vec)] = list(vec)
+        coeffs[n, : len(vec)] = list(vec.values())
+    return eids, coeffs
 
 
 def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
@@ -723,14 +742,9 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
                 walks.append(vec)
     if not walks or not basepoints.size:
         return []
-    # one walk per grid row, padded with edge 0 and coefficient 0
     g, tree = cover.ngens, len(cover.nontree)
-    width = max(len(vec) for vec in walks)
-    eids = np.zeros((len(walks), width), dtype=np.int64)
-    coeffs = np.zeros((len(walks), width), dtype=np.int64)
-    for n, vec in enumerate(walks):
-        eids[n, : len(vec)] = list(vec)
-        coeffs[n, : len(vec)] = list(vec.values())
+    eids, coeffs = _stack_walks(walks)
+    width = eids.shape[1]
     pad = coeffs == 0
     verts, letters = eids // g, eids % g
     rows, seen = [], set()
@@ -837,17 +851,35 @@ def omega_powers(d: int):
 
 
 class IsotypicProjector:
-    """The operator sum_c omega^(-psi(c)) deck(c) over the central slice of
-    a cover built from a witness bundle (the 1/|C| normalisation is
-    irrelevant for kernel and image questions and is kept out to stay in
-    Z[omega]).
+    """The operator P = sum_c omega^(-psi(c)) deck(c) over the central
+    slice C of a cover built from a witness bundle (the 1/|C|
+    normalisation is irrelevant for kernel and image questions and is
+    kept out to stay in Z[omega]).
+
+    C is central and acts freely on the vertices, so every vertex is
+    u = c_u r_O, with c_u in C and r_O the least vertex of u's C-orbit O,
+    and deck(c) moves edge (y, i) to (c y, i).  Hence
+
+        (Pv)(u, i) = omega^(-psi(c_u)) S(O, i),
+        S(O, i) = sum over y in O of omega^(psi(c_y)) v(y, i),
+
+    one sum per orbit and letter instead of a |C|-fold scatter.  Both
+    facts it rests on are certified at construction, each raising
+    PropertyViolation: psi(c c') = psi(c) + psi(c') on C, and the
+    C-orbits partition the vertices with |C| points each.  Pv is zero
+    exactly when every S(O, i) is, since omega^(-psi) is a unit.
 
     Vectors are sparse dicts edge id -> coefficient: an int for
-    ``apply_int``, a power-basis tuple for ``apply_cyc``.  Both go through
-    one int64 scatter; entries are bounded by |C| * deg * max|table| *
-    max|input| (each central element permutes the edges, so every output
-    edge receives at most one term per c), and a bound of 2^63 or more
-    raises TooLarge instead of overflowing."""
+    ``apply_int``, a power-basis tuple for ``apply_cyc``.  Each S(O, i) is
+    summed in int64 as d slots, the coefficients of omega^0..omega^(d-1):
+    every input coefficient lands in one slot, and the factor
+    omega^(-psi(c_u)) only permutes the slots.  A value is reduced to the
+    power basis last, as sum_t slot_t * omega^t.  So every slot and every
+    partial sum is bounded by the absolute input coefficients of one orbit
+    added up, at most |C| * deg * max|input|, and every reduced entry by
+    that times max|omega rep|, which is ``_entry_bound`` * max|input|.
+    A bound of 2^63 or more raises TooLarge; below it every result is
+    exact."""
 
     def __init__(self, cover: CoverComplex, bundle: WitnessBundle):
         if cover.alphabet.kind != "free":
@@ -868,16 +900,17 @@ class IsotypicProjector:
             self._psi(self._parts(cover.elements[v])) for v in central
         ]
         # (|C|, V): vertex permutation of each central deck element, checked
-        # to be the deck map it stands for
-        self.perms = np.array([cover.deck_perm(v) for v in central], dtype=np.int64)
-        cover.check_deck_perms(central, self.perms)
-        # (|C|, deg, deg): row j of slice c is omega^(j - psi(c))
+        # to be the deck map it stands for; only the orbit tables are kept
+        perms = np.array([cover.deck_perm(v) for v in central], dtype=np.int64)
+        cover.check_deck_perms(central, perms)
+        psi = np.array(self.psi_values, dtype=np.int64)
+        self._check_additive(perms, psi)
+        # orbit and phase psi(c_u) of each vertex u; members[O, n] = c_n r_O
+        self.orbit, self.phase, self.members = _central_orbits(perms, psi)
         powers = omega_powers(self.d)
         self.deg = len(powers[0])
-        self.table = np.array(
-            [[powers[(j - t) % self.d] for j in range(self.deg)] for t in self.psi_values],
-            dtype=np.int64,
-        )
+        # (d, deg): row t is omega^t in the power basis
+        self.basis = np.array(powers, dtype=np.int64)
         self._entry_bound = (
             len(central) * self.deg * max(abs(x) for rep in powers for x in rep)
         )
@@ -894,6 +927,25 @@ class IsotypicProjector:
             at += width
         return self.bundle.psi_of_centrals(tuple(nested))
 
+    def _check_additive(self, perms, psi):
+        """Raise PropertyViolation naming central vertices a, b whose
+        product is not central or has psi(ab) != psi(a) + psi(b) mod d.
+        perms[:, central] is the multiplication table of C."""
+        central = self.central_vertices
+        at = np.full(self.cover.n_vertices, -1, dtype=np.int64)
+        at[central] = np.arange(len(central))
+        step = max(1, _BATCH_ENTRIES // len(central))
+        for lo in range(0, len(central), step):
+            prod = at[perms[lo : lo + step, central]]
+            ok = (prod >= 0) & (psi[prod] == (psi[lo : lo + step, None] + psi) % self.d)
+            if not ok.all():
+                i, j = np.argwhere(~ok)[0]
+                a, b = central[lo + int(i)], central[int(j)]
+                raise PropertyViolation(
+                    f"psi is not additive on the central slice at vertices {a} and {b}",
+                    counterexample=(a, b),
+                )
+
     @property
     def central_order(self):
         return len(self.central_vertices)
@@ -906,30 +958,100 @@ class IsotypicProjector:
         """Apply to a Z[omega]-valued edge vector."""
         return self._apply(vec, list(vec.values()))
 
-    def _apply(self, vec: dict, coeffs: list) -> dict:
-        """The scatter: coeffs[n] holds the leading power-basis
-        coefficients of the n-th entry of vec."""
-        if not vec:
-            return {}
-        peak = max(abs(x) for row in coeffs for x in row)
+    def _guard(self, peak):
         if self._entry_bound * peak >= 2 ** 63:
             raise TooLarge(
                 f"projector entries may reach {self._entry_bound * peak}, beyond int64"
             )
+
+    def _orbit_sums(self, rows, verts, vals):
+        """(keys, sums): the distinct values of ``rows`` in increasing
+        order, and per key the d slots of the sum of its entries.  Entry n
+        sits at vertex verts[n] and holds vals[n, j] * omega^j, which
+        moves to slot phase + j."""
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        first = np.ones(rows.size, dtype=bool)  # the first entry of each key
+        first[1:] = rows[1:] != rows[:-1]
+        slots = (self.phase[verts[order], None] + np.arange(vals.shape[1])) % self.d
+        sums = np.zeros((np.count_nonzero(first), self.d), dtype=np.int64)
+        np.add.at(sums, (np.cumsum(first)[:, None] - 1, slots), vals[order])
+        return rows[first], sums
+
+    def _apply(self, vec: dict, coeffs: list) -> dict:
+        """S(O, i) for every orbit and letter the entries of vec touch,
+        expanded over the orbit's members; coeffs[n] holds the leading
+        power-basis coefficients of the n-th entry of vec."""
+        if not vec:
+            return {}
+        self._guard(max(abs(x) for row in coeffs for x in row))
         vals = np.array(coeffs, dtype=np.int64)
         eids = np.fromiter(vec, dtype=np.int64, count=len(vec))
+        g, d = self.cover.ngens, self.d
+        verts = eids // g
+        keys, sums = self._orbit_sums(self.orbit[verts] * g + eids % g, verts, vals)
+        # omega^(-p) sum_t s_t omega^t = sum_t s_(t+p) omega^t, so images[k, p]
+        # is omega^(-p) S(k) in the power basis
+        images = sums[:, (np.arange(d)[:, None] + np.arange(d)) % d] @ self.basis
+        live = images[:, 0].any(axis=1)
+        keys, images = keys[live], images[live]
+        members = self.members[keys // g]
+        eout = (members * g + (keys % g)[:, None]).ravel()
+        vout = images[np.arange(keys.size)[:, None], self.phase[members]].reshape(-1, self.deg)
+        order = np.argsort(eout)
+        return dict(zip(eout[order].tolist(), map(tuple, vout[order].tolist())))
+
+    def first_nonzero(self, walks) -> int | None:
+        """Index of the first integer edge vector in ``walks`` with a
+        nonzero image, or None when P kills them all.  A chunk of walks is
+        stacked as ``_stack_walks`` pads them and zero-tested at once,
+        through their orbit sums S(O, i); chunks keep every temporary
+        within _BATCH_ENTRIES entries."""
         g = self.cover.ngens
-        targets = self.perms[:, eids // g] * g + eids % g
-        terms = np.einsum("nj,cjk->cnk", vals, self.table[:, : vals.shape[1]])
-        out = np.zeros((self.cover.n_edges, self.deg), dtype=np.int64)
-        np.add.at(out, targets.ravel(), terms.reshape(-1, self.deg))
-        rows = np.flatnonzero(out.any(axis=1))
-        return dict(zip(rows.tolist(), map(tuple, out[rows].tolist())))
+        width = max((len(vec) for vec in walks), default=0)
+        step = max(1, _BATCH_ENTRIES // max(1, width * self.d))
+        per_walk = len(self.members) * g
+        for lo in range(0, len(walks), step):
+            eids, coeffs = _stack_walks(walks[lo : lo + step])
+            self._guard(int(np.abs(coeffs).max(initial=0)))
+            verts = eids // g
+            # one row of slots per (walk, orbit, letter); padding adds 0
+            rows = np.arange(len(eids))[:, None] * per_walk + self.orbit[verts] * g + eids % g
+            keys, sums = self._orbit_sums(rows.ravel(), verts.ravel(), coeffs.reshape(-1, 1))
+            live = (sums @ self.basis).any(axis=1)
+            if live.any():
+                return lo + int(keys[live][0] // per_walk)
+        return None
 
     def is_zero_in_h1(self, cyc_vec: dict) -> bool:
         """Zero test for a Z[omega]-valued cycle: a free cover has no
         2-cells, so H_1 is its cycle space."""
         return not cyc_vec
+
+
+def _central_orbits(perms, psi):
+    """(orbit, phase, members) of the action on the vertices of the
+    central slice C, given by its deck permutations ``perms`` (|C|, V)
+    and its psi values.  Row O of ``members`` is c r_O for each c in C,
+    r_O the least vertex of orbit O; a vertex u = c_u r_O has orbit[u] =
+    O and phase[u] = psi(c_u).  Raises PropertyViolation unless the orbits
+    partition the vertices with |C| points each: C acts freely."""
+    n_vertices = perms.shape[1]
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(n_vertices))
+    members = perms[:, reps].T
+    hits = np.bincount(members.ravel(), minlength=n_vertices)
+    if (hits != 1).any():
+        u = int(np.flatnonzero(hits != 1)[0])
+        raise PropertyViolation(
+            f"the central slice does not act freely: vertex {u} is in "
+            f"{hits[u]} orbit places instead of one",
+            counterexample=u,
+        )
+    orbit = np.empty(n_vertices, dtype=np.int64)
+    orbit[members] = np.arange(len(members))[:, None]
+    phase = np.empty(n_vertices, dtype=np.int64)
+    phase[members] = psi
+    return orbit, phase, members
 
 
 # One d-primitive word in this many is also checked at a random basepoint.
@@ -950,24 +1072,23 @@ def isotypic_projection_check(
     (b) the projector is nonzero on H_1, witnessed by a fundamental cycle.
 
     Together these certify that the d-primitive classes span a proper
-    subspace of H_1 of the cover.
+    subspace of H_1 of the cover.  The identity-basepoint classes of all
+    words are zero-tested in one batch; the spot checks then draw word by
+    word up to the first class not killed, so a failure names the same
+    word, with the same draws, as a word-by-word loop.
     """
     rng = random.Random(seed)
     cover, d = proj.cover, proj.d
     primitive = d_primitive_predicate(d)
-    words_checked = 0
-    spot_checks = 0
+    words, walks = [], []
     for word in reduced_words(cover.alphabet, max_word_len):
-        if not primitive(word):
-            continue
-        m, vec = elevation_class(cover, word, 0)
-        image = proj.apply_int(vec)
-        if not proj.is_zero_in_h1(image):
-            raise PropertyViolation(
-                f"projection of the elevation of {word.render()} (m={m}) is nonzero",
-                counterexample=word.render(),
-            )
-        words_checked += 1
+        if primitive(word):
+            m, vec = elevation_class(cover, word, 0)
+            words.append((word, m))
+            walks.append(vec)
+    bad = proj.first_nonzero(walks)
+    spot_checks = 0
+    for (word, _), vec in zip(words[:bad], walks):
         if rng.randrange(SPOT_CHECK_RATE) == 0:
             b = rng.randrange(cover.n_vertices)
             _, bvec = elevation_class(cover, word, b)
@@ -986,6 +1107,12 @@ def isotypic_projection_check(
                     counterexample=(word.render(), b),
                 )
             spot_checks += 1
+    if bad is not None:
+        word, m = words[bad]
+        raise PropertyViolation(
+            f"projection of the elevation of {word.render()} (m={m}) is nonzero",
+            counterexample=word.render(),
+        )
     witness_pos = None
     for pos in range(len(cover.nontree)):
         image = proj.apply_int(cover.fundamental_cycle(pos))
@@ -1004,7 +1131,7 @@ def isotypic_projection_check(
             "group_order": cover.n_vertices,
             "central_order": proj.central_order,
             "dim_h1": cover.dim_h1(seed),
-            "words_annihilated": words_checked,
+            "words_annihilated": len(words),
             "basepoint_spot_checks": spot_checks,
             "h1_witness_cycle": witness_pos,
             "modulus": d,

@@ -49,11 +49,14 @@ def abelianization(g: AlgElement):
 
 
 def in_central_subgroup(g: AlgElement) -> bool:
-    """True iff g - 1 is supported purely in the top degree r^k."""
-    cap = g.spec.cap
-    diff = g - 1
-    md = diff.min_degree()
-    return md is None or md >= cap
+    """True iff g - 1 is supported purely in the top degree r^k: the
+    constant term is 1 and every other monomial has degree >= r^k.  Reads
+    g's terms in place instead of building g - 1."""
+    spec = g.spec
+    one, cap, deg = spec.one_mono, spec.cap, spec.degree
+    if g.terms.get(one, 0) % spec.r != 1:
+        return False
+    return all(deg(mono) >= cap for mono in g.terms if mono != one)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import numpy as np
@@ -15,6 +17,7 @@ from coverhom import (
     ResidueImage,
     TooLarge,
     UnitImage,
+    assemble_witness_free,
     build_cover,
     d_primitive_predicate,
     elevation_class,
@@ -32,9 +35,10 @@ from coverhom import (
     reduced_words,
     symbol,
 )
-from coverhom import covers
+from coverhom import cli, covers
 from coverhom.covers import (
     _RANK_PRIMES,
+    _central_orbits,
     _rank_exact,
     _rank_mod_p,
     cyclotomic_polynomial,
@@ -159,6 +163,15 @@ def test_elevation_deck_equivariance():
             mb, vb = elevation_class(cover, w, b)
             assert m0 == mb
             assert cover.deck_translate(perm, v0) == vb
+
+
+def test_word_orders_from_the_graph_match_the_algebra(sorted_witness_cover):
+    # an empty order cache, so every order is read off the graph here
+    for cover in (dataclasses.replace(sorted_witness_cover, _orders={}), _s5_surface_cover()):
+        quotient = cover.quotient
+        for word in reduced_words(cover.alphabet, 4):
+            m, _ = elevation_class(cover, word, 0)
+            assert m == quotient.element_order(quotient.evaluate(word)), word.render()
 
 
 def test_fundamental_cycles_are_cycles():
@@ -586,21 +599,28 @@ def _reference_projector(proj):
 
 
 def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witness_cover):
-    cover = sorted_witness_cover
-    proj = IsotypicProjector(cover, sorted_witness_bundle)
-    ref_int, ref_cyc = _reference_projector(proj)
-    rng = random.Random(2304)
-    for _ in range(10):
-        positions = rng.sample(range(cover.n_edges), rng.randrange(1, 12))
-        vec = {e: rng.choice((-1, 1)) * rng.randrange(1, 50) for e in positions}
-        assert proj.apply_int(vec) == ref_int(vec)
-        cyc = {e: tuple(rng.randrange(-9, 10) for _ in range(proj.deg)) for e in positions}
-        assert proj.apply_cyc(cyc) == ref_cyc(cyc)
-    # an elevation class is killed and its image goes through apply_cyc
-    _, vec = elevation_class(cover, GroupWord(FREE2, (1, 2, 2)), 5)
-    assert proj.apply_int(vec) == ref_int(vec) == {}
-    once = proj.apply_int(cover.fundamental_cycle(0))
-    assert once and proj.apply_cyc(once) == ref_cyc(once)
+    # the sorted and full variants at r = 3, and the sorted one at r = 2
+    # (d = 2, deg = 1)
+    full, r2 = assemble_witness_free(3, 2, 1, "full"), assemble_witness_free(2, 2, None, "sorted")
+    for bundle, cover in (
+        (sorted_witness_bundle, sorted_witness_cover),
+        (full, build_cover(quotient_from_bundle(full))),
+        (r2, build_cover(quotient_from_bundle(r2))),
+    ):
+        proj = IsotypicProjector(cover, bundle)
+        ref_int, ref_cyc = _reference_projector(proj)
+        rng = random.Random(2304)
+        for _ in range(10):
+            positions = rng.sample(range(cover.n_edges), rng.randrange(1, 12))
+            vec = {e: rng.choice((-1, 1)) * rng.randrange(1, 50) for e in positions}
+            assert proj.apply_int(vec) == ref_int(vec)
+            cyc = {e: tuple(rng.randrange(-9, 10) for _ in range(proj.deg)) for e in positions}
+            assert proj.apply_cyc(cyc) == ref_cyc(cyc)
+        # an elevation class is killed and its image goes through apply_cyc
+        _, vec = elevation_class(cover, GroupWord(FREE2, (1, 2, 2)), 5)
+        assert proj.apply_int(vec) == ref_int(vec) == {}
+        once = proj.apply_int(cover.fundamental_cycle(0))
+        assert once and proj.apply_cyc(once) == ref_cyc(once)
 
 
 def test_projector_int64_bound(sorted_witness_bundle, sorted_witness_cover):
@@ -660,3 +680,103 @@ def test_quotient_from_json_refuses_fractional_coefficients():
     }
     with pytest.raises(InvalidConfig):
         quotient_from_json(data)
+
+
+def test_projector_refuses_a_psi_that_is_not_additive(
+    monkeypatch, sorted_witness_bundle, sorted_witness_cover
+):
+    psi = IsotypicProjector._psi
+    monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: (psi(self, parts) + 1) % 3)
+    with pytest.raises(PropertyViolation, match="not additive") as exc:
+        IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    # psi(1) = 1 != psi(1) + psi(1)
+    assert exc.value.counterexample == (0, 0)
+
+
+def test_projector_refuses_a_slice_that_is_not_closed(
+    monkeypatch, sorted_witness_bundle, sorted_witness_cover
+):
+    # vertex 1, a generator image, joins C with psi = 0: its products leave C
+    cover = sorted_witness_cover
+    extra = {id(g) for g in IsotypicProjector._parts(None, cover.elements[1])}
+    central, psi = covers.in_central_subgroup, IsotypicProjector._psi
+    monkeypatch.setattr(covers, "in_central_subgroup", lambda g: id(g) in extra or central(g))
+    monkeypatch.setattr(
+        IsotypicProjector, "_psi",
+        lambda self, parts: 0 if id(parts[0]) in extra else psi(self, parts),
+    )
+    with pytest.raises(PropertyViolation, match="not additive"):
+        IsotypicProjector(cover, sorted_witness_bundle)
+
+
+def test_central_orbits_refuse_an_action_that_is_not_free():
+    # the swap of vertices 0 and 1 fixes vertex 2
+    perms = np.array([[0, 1, 2], [1, 0, 2]])
+    with pytest.raises(PropertyViolation, match="does not act freely") as exc:
+        _central_orbits(perms, np.array([0, 1]))
+    assert exc.value.counterexample == 2
+    orbit, phase, members = _central_orbits(np.array([[0, 1, 2, 3], [1, 0, 3, 2]]), np.array([0, 1]))
+    assert members.tolist() == [[0, 1], [2, 3]]
+    assert orbit.tolist() == [0, 0, 1, 1] and phase.tolist() == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("budget", [40, covers._BATCH_ENTRIES])
+def test_batched_zero_test_matches_a_loop_over_the_reference(
+    monkeypatch, sorted_witness_bundle, sorted_witness_cover, budget
+):
+    cover = sorted_witness_cover
+    proj = IsotypicProjector(cover, sorted_witness_bundle)
+    ref_int, _ = _reference_projector(proj)
+    monkeypatch.setattr(covers, "_BATCH_ENTRIES", budget)
+    primitive = d_primitive_predicate(3)
+    killed = [elevation_class(cover, w, 0)[1] for w in reduced_words(FREE2, 3) if primitive(w)]
+    assert proj.first_nonzero(killed) is None
+    rng = random.Random(88)
+    for _ in range(6):
+        walks = list(killed)
+        for _ in range(3):
+            walks.insert(rng.randrange(len(walks) + 1), cover.fundamental_cycle(rng.randrange(50)))
+        expect = next(n for n, vec in enumerate(walks) if ref_int(vec))
+        assert proj.first_nonzero(walks) == expect
+    assert proj.first_nonzero([]) is None and proj.first_nonzero([{}]) is None
+
+
+def test_batched_check_names_the_first_word_a_loop_would(
+    monkeypatch, sorted_witness_bundle, sorted_witness_cover
+):
+    # psi = 0 averages over C, which kills no d-primitive class
+    monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: 0)
+    cover = sorted_witness_cover
+    proj = IsotypicProjector(cover, sorted_witness_bundle)
+    ref_int, _ = _reference_projector(proj)
+    primitive = d_primitive_predicate(3)
+    words = [w for w in reduced_words(FREE2, 3) if primitive(w)]
+    first = next(w for w in words if ref_int(elevation_class(cover, w, 0)[1]))
+    m = elevation_class(cover, first, 0)[0]
+    with pytest.raises(PropertyViolation) as exc:
+        isotypic_projection_check(proj, max_word_len=3, seed=1)
+    assert str(exc.value) == f"projection of the elevation of {first.render()} (m={m}) is nonzero"
+    assert exc.value.counterexample == first.render()
+
+
+@pytest.mark.parametrize("fault", ["swap", "additive"])
+def test_witness_e2e_reports_a_projector_it_cannot_build(
+    monkeypatch, capsys, sorted_witness_cover, fault
+):
+    if fault == "swap":
+        cover = dataclasses.replace(sorted_witness_cover)
+        _break_deck_perm(monkeypatch, cover, "swap")
+        monkeypatch.setattr(cli, "build_cover", lambda quotient, guard_vertices: cover)
+    else:
+        psi = IsotypicProjector._psi
+        monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: psi(self, parts) + 1)
+    code = cli.main(
+        ["witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2"]
+    )
+    assert code == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("witness-free", "pass"), ("gaschutz", "pass"), ("isotypic-invariants", "fail")
+    ]
+    details = checks[-1]["details"]
+    assert details["counterexample"] is not None and details["error"]

@@ -67,6 +67,42 @@ def test_in_central_subgroup():
     assert not in_central_subgroup(one(qs) + quat_term(qs, 1, 1, 2))
 
 
+def _central_by_difference(g):
+    """The definition in_central_subgroup replaced, kept as an oracle:
+    g - 1 is zero or starts in the top degree."""
+    md = (g - 1).min_degree()
+    return md is None or md >= g.spec.cap
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        free_spec(3, 1, 2), free_spec(3, 2, 2), sorted_spec(3, 1, 2), sorted_spec(3, 2, 3),
+        m_spec(3, 1, 2), m_spec(3, 2, 2), quat_spec(3, 1), quat_spec(3, 2),
+    ],
+    ids=str,
+)
+def test_in_central_subgroup_matches_the_difference_definition(spec):
+    rng = random.Random(spec.cap * 10 + len(spec.kind))
+    seen = set()
+    for _ in range(300):
+        top = random_element(spec, rng, max_terms=4).graded_part(spec.cap)
+        candidates = [
+            random_element(spec, rng),  # any constant term, 0 included
+            random_element(spec, rng, unit=True),
+            one(spec) + top,
+            one(spec) * 2 + top,  # a constant other than 1
+        ]
+        if spec.kind == "quat":
+            # quaternion units i, j, k also live in degree 0
+            candidates.append(one(spec) + top + quat_term(spec, 0, 0, rng.randrange(1, 4)))
+        for g in candidates:
+            expect = _central_by_difference(g)
+            assert in_central_subgroup(g) == expect, g.render()
+            seen.add(expect)
+    assert seen == {True, False}
+
+
 def test_central_subgroup_is_central():
     rng = random.Random(11)
     for spec in (free_spec(3, 1, 2), sorted_spec(3, 2, 2), m_spec(3, 1, 2), quat_spec(3, 2)):
