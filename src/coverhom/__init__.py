@@ -13,6 +13,11 @@ The pipeline has three layers:
 3. finite covers attached to a quotient, their homology with deck action,
    elevation classes, and the isotypic-projection certificate that the
    d-primitive classes span a proper subspace (``covers``).
+
+``covers`` is the one module that needs numpy.  It is imported on first
+use of one of its names, so ``from coverhom import build_cover`` works as
+before, and the commands that never reach a cover (every CLI command but
+``cover-report`` and ``witness-e2e``) start without numpy.
 """
 
 from .algebra import (
@@ -28,27 +33,6 @@ from .algebra import (
     sorted_spec,
     symbol,
     zero,
-)
-from .covers import (
-    CoverComplex,
-    FiniteQuotient,
-    IsotypicProjector,
-    PermImage,
-    ProductImage,
-    ResidueImage,
-    UnitImage,
-    build_cover,
-    d_primitive_predicate,
-    elevation_class,
-    gaschutz_check,
-    isotypic_invariants,
-    isotypic_projection_check,
-    nonkernel_predicate,
-    orbit_span_rank,
-    quotient_from_bundle,
-    quotient_from_json,
-    rank_over_rationals,
-    random_quotient,
 )
 from .errors import (
     CoverhomError,
@@ -103,3 +87,34 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+# the names resolved from ``covers`` on first use (PEP 562)
+_COVERS_NAMES = frozenset((
+    "CoverComplex",
+    "FiniteQuotient",
+    "IsotypicProjector",
+    "PermImage",
+    "ProductImage",
+    "ResidueImage",
+    "UnitImage",
+    "build_cover",
+    "d_primitive_predicate",
+    "elevation_class",
+    "gaschutz_check",
+    "isotypic_invariants",
+    "isotypic_projection_check",
+    "nonkernel_predicate",
+    "orbit_span_rank",
+    "quotient_from_bundle",
+    "quotient_from_json",
+    "rank_over_rationals",
+    "random_quotient",
+))
+
+
+def __getattr__(name):
+    if name in _COVERS_NAMES:
+        from . import covers
+
+        return getattr(covers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

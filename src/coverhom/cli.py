@@ -11,6 +11,10 @@ carries the counterexample), 2 invalid configuration or a size guard.  A
 guard or configuration error after a check has started still emits the
 report of the checks so far, with the aborted step last (status ``guard``
 or ``error``).
+
+Only ``cover-report`` and ``witness-e2e`` build a cover, so only they
+import ``covers`` (and with it numpy).  They look its functions up on the
+module at call time, so a patch of ``covers.build_cover`` reaches them.
 """
 
 import argparse
@@ -21,18 +25,6 @@ import random
 import sys
 import time
 
-from .covers import (
-    IsotypicProjector,
-    build_cover,
-    d_primitive_predicate,
-    gaschutz_check,
-    isotypic_invariants,
-    isotypic_projection_check,
-    nonkernel_predicate,
-    orbit_span_rank,
-    quotient_from_bundle,
-    quotient_from_json,
-)
 from .errors import CoverhomError, InvalidConfig, PropertyViolation, TooLarge
 from .nonvanishing import build_nonvanishing, classify, minimal_k, verify_nonvanishing
 from .units import verify_power_character
@@ -147,9 +139,11 @@ def _finish(args, command, config, checks):
 
 
 def _load_quotient(path):
+    from . import covers
+
     try:
         with open(path) as fh:
-            return quotient_from_json(json.load(fh))
+            return covers.quotient_from_json(json.load(fh))
     except (ValueError, KeyError, TypeError) as exc:
         # schema errors name their field; anything else names its type
         why = exc if isinstance(exc, InvalidConfig) else f"{type(exc).__name__}: {exc}"
@@ -162,10 +156,12 @@ def orbit_rank(cover, predicate, max_len, seed, guard_dim, vertices=None,
     length <= max_len passing the predicate, based at the given vertices
     (all of them when None).  With require_proper a full rank fails; the
     keyword ``details`` are added to the record's details."""
+    from . import covers
+
     dim = cover.dim_h1(seed)
     if dim > guard_dim:
         raise TooLarge(f"dim H1 = {dim} exceeds --guard-dim {guard_dim}")
-    rank, _ = orbit_span_rank(cover, predicate, max_len, basepoints=vertices, seed=seed)
+    rank, _ = covers.orbit_span_rank(cover, predicate, max_len, basepoints=vertices, seed=seed)
     if require_proper and rank >= dim:
         raise PropertyViolation(f"sampled d-primitive span has full rank {rank} = dim H1")
     return {
@@ -261,8 +257,10 @@ def cmd_verify_surface(args):
 
 
 def cmd_cover_report(args):
+    from . import covers
+
     quotient = _load_quotient(args.quotient)
-    cover = build_cover(quotient, guard_vertices=args.guard_vertices)
+    cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
     config = {
         "quotient": args.quotient,
         "orbit": args.orbit,
@@ -271,12 +269,12 @@ def cmd_cover_report(args):
         "seed": args.seed,
     }
     with _checks(args, config) as checks:
-        _timed(checks, gaschutz_check, cover, args.seed)
+        _timed(checks, covers.gaschutz_check, cover, args.seed)
         if args.orbit:
             if args.orbit == "d-primitive":
-                predicate = d_primitive_predicate(args.d)
+                predicate = covers.d_primitive_predicate(args.d)
             elif args.orbit == "theta-nonkernel":
-                predicate = nonkernel_predicate(_load_quotient(args.theta))
+                predicate = covers.nonkernel_predicate(_load_quotient(args.theta))
             else:
                 predicate = lambda word: True
             _timed(checks, orbit_rank, cover, predicate, args.max_word_len, args.seed,
@@ -285,6 +283,8 @@ def cmd_cover_report(args):
 
 
 def cmd_witness_e2e(args):
+    from . import covers
+
     bundle = assemble_witness_free(args.r, args.n, args.k, args.variant)
     config = {
         "r": args.r,
@@ -297,28 +297,28 @@ def cmd_witness_e2e(args):
     }
     with _checks(args, config) as checks:
         _timed(checks, verify_witness, bundle, samples=50, seed=args.seed)
-        quotient = quotient_from_bundle(bundle)
-        cover = build_cover(quotient, guard_vertices=args.guard_vertices)
-        _timed(checks, gaschutz_check, cover, args.seed)
+        quotient = covers.quotient_from_bundle(bundle)
+        cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
+        _timed(checks, covers.gaschutz_check, cover, args.seed)
         # the projector certifies its central slice as it is built; a
         # violation there fails the invariants check, and no certificate
         # follows
         t0 = time.perf_counter()
         try:
-            proj = IsotypicProjector(cover, bundle)
+            proj = covers.IsotypicProjector(cover, bundle)
         except PropertyViolation as exc:
             checks.append(_failed("isotypic-invariants", exc, time.perf_counter() - t0))
             record = None
         else:
-            _timed(checks, isotypic_invariants, proj, samples=3, seed=args.seed)
-            record = _timed(checks, isotypic_projection_check, proj,
+            _timed(checks, covers.isotypic_invariants, proj, samples=3, seed=args.seed)
+            record = _timed(checks, covers.isotypic_projection_check, proj,
                             max_word_len=args.max_word_len, seed=args.seed)
         if args.orbit_rank:
             rng = random.Random(args.seed)
             basepoints = [0] + [
                 rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
             ]
-            _timed(checks, orbit_rank, cover, d_primitive_predicate(args.r),
+            _timed(checks, orbit_rank, cover, covers.d_primitive_predicate(args.r),
                    args.orbit_word_len, args.seed, args.guard_dim, vertices=basepoints,
                    require_proper=True, basepoints=len(basepoints))
     if record is not None:

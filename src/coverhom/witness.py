@@ -205,6 +205,28 @@ def _magnus_images(spec: AlgebraSpec):
     return imgs, invs
 
 
+@lru_cache(maxsize=1024)
+def _syllable(images, spec: AlgebraSpec, letter: int, m: int) -> AlgElement:
+    """The image g^m of a run of m equal letters, where ``images(spec)``
+    gives the generator images and their inverses.  Built from the two
+    halves of the run with ``*``, so the recursion stays shallow."""
+    if m == 1:
+        imgs, invs = images(spec)
+        return imgs[letter - 1] if letter > 0 else invs[-letter - 1]
+    half = m // 2
+    return _syllable(images, spec, letter, half) * _syllable(images, spec, letter, m - half)
+
+
+def _word_image(word: GroupWord, spec: AlgebraSpec, images) -> AlgElement:
+    """The image of a word as one product per syllable: each run of equal
+    letters is looked up whole in the syllable cache."""
+    acc = None
+    for letter, run in itertools.groupby(word.letters):
+        g = _syllable(images, spec, letter, sum(1 for _ in run))
+        acc = g if acc is None else acc * g
+    return one(spec) if acc is None else acc
+
+
 def magnus_image(word: GroupWord, spec: AlgebraSpec) -> AlgElement:
     """Image of a word under generator i -> 1 + X_i.
 
@@ -218,11 +240,7 @@ def magnus_image(word: GroupWord, spec: AlgebraSpec) -> AlgElement:
         raise InvalidConfig(
             f"word has {word.alphabet.ngens} generators, algebra {spec.ngens}"
         )
-    imgs, invs = _magnus_images(spec)
-    acc = one(spec)
-    for letter in word.letters:
-        acc = acc * (imgs[letter - 1] if letter > 0 else invs[-letter - 1])
-    return acc
+    return _word_image(word, spec, _magnus_images)
 
 
 def catalan_series(r: int, k: int) -> AlgElement:
@@ -262,11 +280,7 @@ def quaternion_image(word: GroupWord, spec: AlgebraSpec) -> AlgElement:
         raise InvalidConfig("quaternion_image needs the quat kind")
     if word.alphabet != Alphabet("surface", 2):
         raise InvalidConfig("quaternion_image takes genus-2 surface words")
-    imgs, invs = _quaternion_images(spec)
-    acc = one(spec)
-    for letter in word.letters:
-        acc = acc * (imgs[letter - 1] if letter > 0 else invs[-letter - 1])
-    return acc
+    return _word_image(word, spec, _quaternion_images)
 
 
 def collapse_to_genus_two(word: GroupWord, pair: int, swapped: bool = False) -> GroupWord:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from coverhom.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(capsys, *argv):
@@ -277,3 +283,29 @@ def test_vacuous_count_exits_two_with_one_line(capsys, argv, option):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and f"argument {option}: must be at least" in lines[0]
+
+
+def test_sweep_commands_start_without_numpy(tmp_path):
+    # covers is the one module that needs numpy, and only cover-report
+    # and witness-e2e reach it; the package still exports its names
+    script = f"""
+import sys
+from coverhom.cli import main
+for argv in (
+    ["nvpoly", "--r", "3", "--n", "2"],
+    ["verify-free", "--r", "3", "--n", "2", "--k", "1", "--samples", "10"],
+    ["verify-surface", "--r", "3", "--genus", "2", "--classes", "sampled", "--samples", "5"],
+    ["crt-lift", "--primes", "2,3", "--n", "2", "--samples", "10"],
+):
+    assert main([*argv, "--out", {str(tmp_path / "reports.jsonl")!r}]) == 0, argv
+assert "numpy" not in sys.modules, "a sweep command imported numpy"
+from coverhom import IsotypicProjector, build_cover
+assert "numpy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "reports.jsonl").read_text().splitlines()) == 4

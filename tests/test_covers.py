@@ -766,7 +766,7 @@ def test_witness_e2e_reports_a_projector_it_cannot_build(
     if fault == "swap":
         cover = dataclasses.replace(sorted_witness_cover)
         _break_deck_perm(monkeypatch, cover, "swap")
-        monkeypatch.setattr(cli, "build_cover", lambda quotient, guard_vertices: cover)
+        monkeypatch.setattr(covers, "build_cover", lambda quotient, guard_vertices: cover)
     else:
         psi = IsotypicProjector._psi
         monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: psi(self, parts) + 1)

@@ -32,6 +32,7 @@ from coverhom import (
     verify_witness,
     word_from_exponents,
 )
+from coverhom import witness
 from coverhom.witness import quat_power_poly, quat_sign
 
 FREE2 = Alphabet("free", 2)
@@ -163,6 +164,48 @@ def test_quaternion_generator_images_exact():
     x1 = quaternion_image(generator_word(SURF2, 0), spec)
     assert abelianization(x1) == (1, 0, 0, 0)
     assert x1.terms == {(0, 0, 0): 1, (1, 0, 1): 1, (2, 0, 3): 2}  # 1 + Ai + 2A^2 k
+
+
+def _reference_image(word, spec):
+    """The letter-by-letter product the syllable walk replaced, kept as an
+    oracle: one product per letter, starting from 1."""
+    kind_images = witness._quaternion_images if spec.kind == "quat" else witness._magnus_images
+    imgs, invs = kind_images(spec)
+    acc = one(spec)
+    for letter in word.letters:
+        acc = acc * (imgs[letter - 1] if letter > 0 else invs[-letter - 1])
+    return acc
+
+
+def _image(word, spec):
+    return (quaternion_image if spec.kind == "quat" else magnus_image)(word, spec)
+
+
+@pytest.mark.parametrize(
+    "spec, alphabet",
+    [
+        (free_spec(3, 2, 2), FREE2),
+        (sorted_spec(3, 2, 2), FREE2),
+        (m_spec(3, 1, 2), SURF2),
+        (quat_spec(3, 1), SURF2),
+    ],
+    ids=["free", "sorted", "m", "quat"],
+)
+def test_syllable_images_match_the_letter_by_letter_product(spec, alphabet):
+    for word in reduced_words(alphabet, 4):
+        assert _image(word, spec) == _reference_image(word, spec), word.render()
+
+
+@pytest.mark.parametrize(
+    "spec", [free_spec(3, 1, 2), free_spec(5, 1, 2), sorted_spec(5, 1, 2)],
+    ids=["free3", "free5", "sorted5"],
+)
+def test_syllable_images_of_the_class_words(spec):
+    # the sweep's class representatives x1^a x2^b: two long syllables
+    for a in range(15):
+        for b in range(15):
+            word = word_from_exponents(FREE2, (a, b))
+            assert _image(word, spec) == _reference_image(word, spec), word.render()
 
 
 def test_relator_kill_grid():
