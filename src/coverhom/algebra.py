@@ -588,13 +588,6 @@ class AlgElement:
             terms[spec.mono_key(mono)] = coeff
         return cls(spec, terms)
 
-    def __getstate__(self):
-        return (self.spec, self.terms)
-
-    def __setstate__(self, state):
-        self.spec, self.terms = state
-        self._key = None
-
 
 # -- module-level operation aliases ------------------------------------
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Each subcommand validates its configuration, runs the requested checks,
-and emits one JSON report (schema 1).  Reports are deterministic for a
-fixed configuration and seed, except for the wall-time fields.  When the
-output file already exists the report is appended as a new line, so a
-report file is a JSON-lines log of runs.
+Each subcommand validates its configuration and runs the requested
+checks; ``main`` emits the one JSON report (schema 1).  Reports are
+deterministic for a fixed configuration and seed, except for the
+wall-time fields.  When the output file already exists the report is
+appended as a new line, so a report file is a JSON-lines log of runs.
 
 Exit codes: 0 all checks passed, 1 a verified property failed (the record
 carries the counterexample), 2 invalid configuration or a size guard.  A
@@ -18,9 +18,7 @@ module at call time, so a patch of ``covers.build_cover`` reaches them.
 """
 
 import argparse
-import contextlib
 import json
-import os
 import random
 import sys
 import time
@@ -39,82 +37,31 @@ from .witness import (
 
 SCHEMA = 1
 
-# The record name of each check function, so that a fail, guard or error
-# record carries the name the check has when it passes (the benchmark
-# looks pass records up by these names).  Keyed by function name, which
-# wrappers keep; a callable value names the record from the first argument.
-CHECK_NAMES = {
-    "verify_nonvanishing": "nonvanishing",
-    "verify_power_character": lambda spec: f"power-character-{spec.kind}",
-    "verify_witness": lambda bundle: f"witness-{bundle.domain}",
-    "verify_relator_kill": "relator-kill",
-    "verify_quat_power_identity": "quat-power-identity",
-    "gaschutz_check": "gaschutz",
-    "isotypic_invariants": "isotypic-invariants",
-    "isotypic_projection_check": "isotypic-projection",
-    "orbit_rank": "orbit-span",
-}
+
+def _record(name, status, details, wall=0.0):
+    """One check record: status is pass, fail (a property violated, with
+    its counterexample), guard (a size guard tripped) or error (a bad
+    configuration)."""
+    return {"name": name, "status": status, "details": details, "wall_time_s": round(wall, 6)}
 
 
-def _check_name(fn, args):
-    name = getattr(fn, "__name__", "check")
-    name = CHECK_NAMES.get(name, name)
-    return name(args[0]) if callable(name) else name
-
-
-def _timed(checks, fn, *args, **kwargs):
+def _timed(checks, name, fn, *args, **kwargs):
+    """Run the check fn, which returns its details, and append its record
+    under ``name``; returns the details, or None when the check failed.  A
+    guard or a bad configuration is recorded, then raised on to ``main``."""
     t0 = time.perf_counter()
     try:
-        record = fn(*args, **kwargs)
+        details = fn(*args, **kwargs)
     except PropertyViolation as exc:
-        checks.append(_failed(_check_name(fn, args), exc, time.perf_counter() - t0))
+        details = {"error": str(exc), "counterexample": exc.counterexample}
+        checks.append(_record(name, "fail", details, time.perf_counter() - t0))
         return None
     except (InvalidConfig, TooLarge) as exc:
-        checks.append(_aborted(_check_name(fn, args), exc, time.perf_counter() - t0))
+        status = "guard" if isinstance(exc, TooLarge) else "error"
+        checks.append(_record(name, status, {"error": str(exc)}, time.perf_counter() - t0))
         raise
-    record["wall_time_s"] = round(time.perf_counter() - t0, 6)
-    checks.append(record)
-    return record
-
-
-def _failed(name, exc, wall):
-    """The record of a check that found a property violated."""
-    return {
-        "name": name,
-        "status": "fail",
-        "details": {
-            "error": str(exc),
-            "counterexample": getattr(exc, "counterexample", None),
-        },
-        "wall_time_s": round(wall, 6),
-    }
-
-
-def _aborted(name, exc, wall):
-    """The record of a step stopped by a size guard or a bad configuration."""
-    return {
-        "name": name,
-        "status": "guard" if isinstance(exc, TooLarge) else "error",
-        "details": {"error": str(exc)},
-        "wall_time_s": round(wall, 6),
-    }
-
-
-@contextlib.contextmanager
-def _checks(args, config):
-    """The check list of one command.  When a guard or a bad configuration
-    stops the command after a check has started, the report of the checks
-    so far is still emitted, the aborted step last, and the error goes on
-    to exit 2."""
-    checks = []
-    try:
-        yield checks
-    except (InvalidConfig, TooLarge) as exc:
-        if checks:
-            if checks[-1]["status"] not in ("guard", "error"):
-                checks.append(_aborted("aborted", exc, 0.0))
-            _finish(args, args.command, config, checks)
-        raise
+    checks.append(_record(name, "pass", details, time.perf_counter() - t0))
+    return details
 
 
 def _emit(report, out_path):
@@ -122,20 +69,8 @@ def _emit(report, out_path):
     if out_path in (None, "-"):
         print(text)
     else:
-        mode = "a" if os.path.exists(out_path) else "w"
-        with open(out_path, mode) as fh:
+        with open(out_path, "a") as fh:
             fh.write(text + "\n")
-
-
-def _finish(args, command, config, checks):
-    report = {
-        "schema": SCHEMA,
-        "command": command,
-        "config": config,
-        "checks": checks,
-    }
-    _emit(report, args.out)
-    return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 
 def _load_quotient(path):
@@ -155,7 +90,7 @@ def orbit_rank(cover, predicate, max_len, seed, guard_dim, vertices=None,
     """The orbit-span check: rank of the elevation classes of the words of
     length <= max_len passing the predicate, based at the given vertices
     (all of them when None).  With require_proper a full rank fails; the
-    keyword ``details`` are added to the record's details."""
+    keyword ``details`` are added to the returned details."""
     from . import covers
 
     dim = cover.dim_h1(seed)
@@ -165,47 +100,37 @@ def orbit_rank(cover, predicate, max_len, seed, guard_dim, vertices=None,
     if require_proper and rank >= dim:
         raise PropertyViolation(f"sampled d-primitive span has full rank {rank} = dim H1")
     return {
-        "name": "orbit-span",
-        "status": "pass",
-        "details": {
-            "rank": rank,
-            "dim_h1": dim,
-            "max_word_len": max_len,
-            "proper_subspace": rank < dim,
-            **details,
-        },
+        "rank": rank,
+        "dim_h1": dim,
+        "max_word_len": max_len,
+        "proper_subspace": rank < dim,
+        **details,
     }
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills the config and the checks of the report ``main``
+# emits
 
 
-def cmd_nvpoly(args):
+def cmd_nvpoly(args, report):
     k = args.k if args.k is not None else minimal_k(args.r, args.n)
     poly = build_nonvanishing(args.r, args.n, k)
-    config = {"r": args.r, "n": args.n, "k": k}
-    with _checks(args, config) as checks:
-        _timed(checks, verify_nonvanishing, poly, args.guard_points)
+    report["config"] = {"r": args.r, "n": args.n, "k": k}
+    checks = report["checks"]
+    _timed(checks, "nonvanishing", verify_nonvanishing, poly, args.guard_points)
     parts = classify(poly)
-    checks.append(
-        {
-            "name": "classification",
-            "status": "pass",
-            "details": {t.value: sub.render() for t, sub in parts.items() if sub.terms},
-            "wall_time_s": 0.0,
-        }
-    )
-    report_extra = {"polynomial": poly.render(), "degree": poly.total_degree()}
-    checks.insert(0, {"name": "polynomial", "status": "pass", "details": report_extra, "wall_time_s": 0.0})
-    return _finish(args, "nvpoly", config, checks)
+    details = {t.value: sub.render() for t, sub in parts.items() if sub.terms}
+    checks.append(_record("classification", "pass", details))
+    details = {"polynomial": poly.render(), "degree": poly.total_degree()}
+    checks.insert(0, _record("polynomial", "pass", details))
 
 
-def cmd_verify_free(args):
+def cmd_verify_free(args, report):
     bundle = assemble_witness_free(args.r, args.n, args.k, args.variant)
     spec = bundle.components[0].factors[0].spec
     poly = bundle.components[0].poly
-    config = {
+    report["config"] = {
         "r": args.r,
         "n": args.n,
         "k": bundle.components[0].k,
@@ -213,19 +138,18 @@ def cmd_verify_free(args):
         "samples": args.samples,
         "seed": args.seed,
     }
-    with _checks(args, config) as checks:
-        _timed(checks, verify_nonvanishing, poly)
-        _timed(checks, verify_power_character, spec, poly, samples=args.samples,
-               seed=args.seed, assert_nonzero=True)
-        _timed(checks, verify_witness, bundle, samples=max(args.samples // 10, 10),
-               seed=args.seed)
-    return _finish(args, "verify-free", config, checks)
+    checks = report["checks"]
+    _timed(checks, "nonvanishing", verify_nonvanishing, poly)
+    _timed(checks, f"power-character-{spec.kind}", verify_power_character, spec, poly,
+           samples=args.samples, seed=args.seed, assert_nonzero=True)
+    _timed(checks, "witness-free", verify_witness, bundle,
+           samples=max(args.samples // 10, 10), seed=args.seed)
 
 
-def cmd_verify_surface(args):
+def cmd_verify_surface(args, report):
     bundle = assemble_witness_surface(args.r, args.genus, args.k)
     comp = bundle.components[0]
-    config = {
+    report["config"] = {
         "r": args.r,
         "genus": args.genus,
         "k": comp.k,
@@ -233,60 +157,67 @@ def cmd_verify_surface(args):
         "samples": args.samples,
         "seed": args.seed,
     }
-    with _checks(args, config) as checks:
-        _timed(checks, verify_nonvanishing, comp.poly)
-        _timed(checks, verify_relator_kill, (args.r,), (comp.k,))
-        _timed(
-            checks,
-            verify_quat_power_identity,
-            args.r,
-            comp.k,
-            samples=min(args.samples, 1000),
-            seed=args.seed,
-        )
-        _timed(
-            checks,
-            verify_witness,
-            bundle,
-            exhaustive=args.classes == "full",
-            samples=args.samples if args.classes != "full" else min(args.samples, 20),
-            sample_len=5,
-            seed=args.seed,
-        )
-    return _finish(args, "verify-surface", config, checks)
+    checks = report["checks"]
+    _timed(checks, "nonvanishing", verify_nonvanishing, comp.poly)
+    _timed(checks, "relator-kill", verify_relator_kill, (args.r,), (comp.k,))
+    _timed(checks, "quat-power-identity", verify_quat_power_identity, args.r, comp.k,
+           samples=min(args.samples, 1000), seed=args.seed)
+    _timed(
+        checks,
+        "witness-surface",
+        verify_witness,
+        bundle,
+        exhaustive=args.classes == "full",
+        samples=args.samples if args.classes != "full" else min(args.samples, 20),
+        sample_len=5,
+        seed=args.seed,
+    )
 
 
-def cmd_cover_report(args):
+def cmd_cover_report(args, report):
     from . import covers
 
     quotient = _load_quotient(args.quotient)
+    if args.orbit == "theta-nonkernel":
+        if args.theta is None:
+            raise InvalidConfig("--orbit theta-nonkernel needs --theta")
+        theta = _load_quotient(args.theta)
+        if theta.alphabet != quotient.alphabet:
+            raise InvalidConfig(
+                f"--theta {args.theta} is a quotient of the {_group(theta.alphabet)}, "
+                f"--quotient {args.quotient} of the {_group(quotient.alphabet)}"
+            )
     cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
-    config = {
+    report["config"] = {
         "quotient": args.quotient,
         "orbit": args.orbit,
         "d": args.d,
         "max_word_len": args.max_word_len,
         "seed": args.seed,
     }
-    with _checks(args, config) as checks:
-        _timed(checks, covers.gaschutz_check, cover, args.seed)
-        if args.orbit:
-            if args.orbit == "d-primitive":
-                predicate = covers.d_primitive_predicate(args.d)
-            elif args.orbit == "theta-nonkernel":
-                predicate = covers.nonkernel_predicate(_load_quotient(args.theta))
-            else:
-                predicate = lambda word: True
-            _timed(checks, orbit_rank, cover, predicate, args.max_word_len, args.seed,
-                   args.guard_dim, orbit=args.orbit)
-    return _finish(args, "cover-report", config, checks)
+    checks = report["checks"]
+    _timed(checks, "gaschutz", covers.gaschutz_check, cover, args.seed)
+    if args.orbit:
+        if args.orbit == "d-primitive":
+            predicate = covers.d_primitive_predicate(args.d)
+        elif args.orbit == "theta-nonkernel":
+            predicate = covers.nonkernel_predicate(theta)
+        else:
+            predicate = lambda word: True
+        _timed(checks, "orbit-span", orbit_rank, cover, predicate, args.max_word_len,
+               args.seed, args.guard_dim, orbit=args.orbit)
 
 
-def cmd_witness_e2e(args):
+def _group(alphabet):
+    size = "rank" if alphabet.kind == "free" else "genus"
+    return f"{alphabet.kind} group of {size} {alphabet.rank}"
+
+
+def cmd_witness_e2e(args, report):
     from . import covers
 
     bundle = assemble_witness_free(args.r, args.n, args.k, args.variant)
-    config = {
+    report["config"] = {
         "r": args.r,
         "n": args.n,
         "k": args.k,
@@ -295,57 +226,50 @@ def cmd_witness_e2e(args):
         "max_word_len": args.max_word_len,
         "seed": args.seed,
     }
-    with _checks(args, config) as checks:
-        _timed(checks, verify_witness, bundle, samples=50, seed=args.seed)
-        quotient = covers.quotient_from_bundle(bundle)
-        cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
-        _timed(checks, covers.gaschutz_check, cover, args.seed)
-        # the projector certifies its central slice as it is built; a
-        # violation there fails the invariants check, and no certificate
-        # follows
-        t0 = time.perf_counter()
-        try:
-            proj = covers.IsotypicProjector(cover, bundle)
-        except PropertyViolation as exc:
-            checks.append(_failed("isotypic-invariants", exc, time.perf_counter() - t0))
-            record = None
-        else:
-            _timed(checks, covers.isotypic_invariants, proj, samples=3, seed=args.seed)
-            record = _timed(checks, covers.isotypic_projection_check, proj,
-                            max_word_len=args.max_word_len, seed=args.seed)
-        if args.orbit_rank:
-            rng = random.Random(args.seed)
-            basepoints = [0] + [
-                rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
-            ]
-            _timed(checks, orbit_rank, cover, covers.d_primitive_predicate(args.r),
-                   args.orbit_word_len, args.seed, args.guard_dim, vertices=basepoints,
-                   require_proper=True, basepoints=len(basepoints))
-    if record is not None:
-        checks.append(
-            {
-                "name": "proper-subspace-certificate",
-                "status": "pass",
-                "details": {
-                    "statement": (
-                        "the d-primitive classes lie in the kernel of a "
-                        "projection that is nonzero on H1"
-                    ),
-                    "dim_h1": record["details"]["dim_h1"],
-                },
-                "wall_time_s": 0.0,
-            }
-        )
-    return _finish(args, "witness-e2e", config, checks)
+    checks = report["checks"]
+    _timed(checks, "witness-free", verify_witness, bundle, samples=50, seed=args.seed)
+    quotient = covers.quotient_from_bundle(bundle)
+    cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
+    _timed(checks, "gaschutz", covers.gaschutz_check, cover, args.seed)
+    # the projector certifies its central slice as it is built; a
+    # violation there fails the invariants check, and no certificate
+    # follows
+    t0 = time.perf_counter()
+    try:
+        proj = covers.IsotypicProjector(cover, bundle)
+    except PropertyViolation as exc:
+        details = {"error": str(exc), "counterexample": exc.counterexample}
+        checks.append(_record("isotypic-invariants", "fail", details, time.perf_counter() - t0))
+        projection = None
+    else:
+        _timed(checks, "isotypic-invariants", covers.isotypic_invariants, proj,
+               samples=3, seed=args.seed)
+        projection = _timed(checks, "isotypic-projection", covers.isotypic_projection_check,
+                            proj, max_word_len=args.max_word_len, seed=args.seed)
+    if args.orbit_rank:
+        rng = random.Random(args.seed)
+        basepoints = [0] + [
+            rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
+        ]
+        _timed(checks, "orbit-span", orbit_rank, cover, covers.d_primitive_predicate(args.r),
+               args.orbit_word_len, args.seed, args.guard_dim, vertices=basepoints,
+               require_proper=True, basepoints=len(basepoints))
+    if projection is not None:
+        details = {
+            "statement": "the d-primitive classes lie in the kernel of a "
+            "projection that is nonzero on H1",
+            "dim_h1": projection["dim_h1"],
+        }
+        checks.append(_record("proper-subspace-certificate", "pass", details))
 
 
-def cmd_crt_lift(args):
-    primes = [int(p) for p in args.primes.split(",")]
+def cmd_crt_lift(args, report):
+    primes = _int_list(args.primes)
     bundles = [
         assemble_witness_free(r, args.n, args.k, args.variant) for r in primes
     ]
     lifted = crt_lift(bundles)
-    config = {
+    report["config"] = {
         "primes": primes,
         "n": args.n,
         "k": args.k,
@@ -353,21 +277,14 @@ def cmd_crt_lift(args):
         "samples": args.samples,
         "seed": args.seed,
     }
-    with _checks(args, config) as checks:
-        checks.append(
-            {
-                "name": "lift",
-                "status": "pass",
-                "details": {
-                    "modulus": lifted.modulus,
-                    "exponent": lifted.exponent,
-                    "q": [comp.q for comp in lifted.components],
-                },
-                "wall_time_s": 0.0,
-            }
-        )
-        _timed(checks, verify_witness, lifted, samples=args.samples, seed=args.seed)
-    return _finish(args, "crt-lift", config, checks)
+    checks = report["checks"]
+    details = {
+        "modulus": lifted.modulus,
+        "exponent": lifted.exponent,
+        "q": [comp.q for comp in lifted.components],
+    }
+    checks.append(_record("lift", "pass", details))
+    _timed(checks, "witness-free", verify_witness, lifted, samples=args.samples, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +303,14 @@ def _at_least(low):
 
     parse.__name__ = "int"  # argparse names the type in its messages
     return parse
+
+
+def _int_list(text):
+    """The integers of a comma-separated list such as 3,5."""
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -420,7 +345,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--variant", choices=("full", "sorted"), default="full")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_at_least(0), default=1000)
     common(p)
     p.set_defaults(func=cmd_verify_free)
 
@@ -429,7 +354,7 @@ def build_parser():
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--classes", choices=("full", "sampled"), default="full")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_at_least(0), default=100)
     common(p)
     p.set_defaults(func=cmd_verify_surface)
 
@@ -460,11 +385,14 @@ def build_parser():
     p.set_defaults(func=cmd_witness_e2e)
 
     p = sub.add_parser("crt-lift", help="combine witnesses over distinct primes")
-    p.add_argument("--primes", required=True, help="comma-separated, e.g. 3,5")
+    # checked here and split again by the command, so that args.primes
+    # stays the text perfbench/setup_inputs.py splits itself
+    p.add_argument("--primes", required=True, type=lambda text: _int_list(text) and text,
+                   help="comma-separated, e.g. 3,5")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--variant", choices=("full", "sorted"), default="full")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_at_least(0), default=1000)
     common(p)
     p.set_defaults(func=cmd_crt_lift)
 
@@ -472,19 +400,30 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = {"schema": SCHEMA, "command": args.command, "config": {}, "checks": []}
+    checks, stop = report["checks"], None
     try:
-        return args.func(args)
-    except (InvalidConfig, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        try:
+            args.func(args, report)
+        except (InvalidConfig, TooLarge) as exc:
+            # stopped after a check has started: the checks so far are
+            # still reported, the aborted step last
+            if checks and checks[-1]["status"] not in ("guard", "error"):
+                status = "guard" if isinstance(exc, TooLarge) else "error"
+                checks.append(_record("aborted", status, {"error": str(exc)}))
+            stop = exc
+        if checks:
+            _emit(report, args.out)
+        if stop is not None:
+            raise stop
+    except (InvalidConfig, TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoverhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 
 if __name__ == "__main__":

@@ -279,7 +279,6 @@ class CoverComplex:
     _tree_levels: list = field(default=None, repr=False)
     _boundary_rows: list = field(default=None, repr=False)
     _dim_h1: int = field(default=None, repr=False)
-    _orders: dict = field(default_factory=dict, repr=False)
 
     @property
     def alphabet(self):
@@ -336,23 +335,27 @@ class CoverComplex:
                 vec.pop(e, None)
         return vec
 
-    def walk_vec(self, word: GroupWord, basepoint: int = 0, repeats: int = 1):
-        """Edge vector of the lift of word^repeats starting at basepoint;
-        returns (end_vertex, vector)."""
+    def walk_vec(self, word: GroupWord, basepoint: int = 0):
+        """Edge vector of the lift of word starting at basepoint; returns
+        (end_vertex, vector)."""
         vec = {}
-        v = basepoint
-        for _ in range(repeats):
-            for letter in word.letters:
-                i = abs(letter) - 1
-                if letter > 0:
-                    eid = v * self.ngens + i
-                    vec[eid] = vec.get(eid, 0) + 1
-                    v = int(self.targets[v, i])
-                else:
-                    v = int(self.inv_targets[v, i])
-                    eid = v * self.ngens + i
-                    vec[eid] = vec.get(eid, 0) - 1
+        v = self._walk(word, basepoint, vec)
         return v, {e: c for e, c in vec.items() if c}
+
+    def _walk(self, word: GroupWord, v: int, vec: dict) -> int:
+        """Add the lift of word starting at vertex v to the edge vector vec
+        (zero entries kept); returns the end vertex."""
+        for letter in word.letters:
+            i = abs(letter) - 1
+            if letter > 0:
+                eid = v * self.ngens + i
+                vec[eid] = vec.get(eid, 0) + 1
+                v = int(self.targets[v, i])
+            else:
+                v = int(self.inv_targets[v, i])
+                eid = v * self.ngens + i
+                vec[eid] = vec.get(eid, 0) - 1
+        return v
 
     def restrict_to_cycles(self, vec: dict) -> dict:
         """Coordinates of a cycle in the fundamental-cycle basis: its
@@ -667,36 +670,26 @@ def gaschutz_check(cover: CoverComplex, seed: int = 0) -> dict:
             f"Euler characteristic {cover.euler_characteristic()} != {V} * {chi_base}"
         )
     return {
-        "name": "gaschutz",
-        "status": "pass",
-        "details": {
-            "group_order": V,
-            "dim_h1": dim,
-            "edges": cover.n_edges,
-            "faces": cover.n_faces,
-        },
+        "group_order": V,
+        "dim_h1": dim,
+        "edges": cover.n_edges,
+        "faces": cover.n_faces,
     }
 
 
 def elevation_class(cover: CoverComplex, word: GroupWord, basepoint: int = 0):
     """(m, edge vector) with m the order of theta(word) and the vector the
-    lift of word^m starting at the basepoint.  m does not depend on the
-    basepoint and is computed once per word, off the Cayley graph: the
-    lift of word from vertex x ends at x * theta(word), so m is the first
-    return of the repeated walk from vertex 0 to vertex 0."""
-    m = cover._orders.get(word.letters)
-    if m is None:
-        guard = cover.n_vertices + 1
-        v, m = cover.walk_vec(word, 0)[0], 1
-        while v:
-            v, m = cover.walk_vec(word, v)[0], m + 1
-            if m > guard:
-                raise TooLarge(f"element order exceeds guard {guard}")
-        cover._orders[word.letters] = m
-    end, vec = cover.walk_vec(word, basepoint, repeats=m)
-    if end != basepoint:
-        raise PropertyViolation(f"lift of {word.render()}^{m} did not close up")
-    return m, vec
+    lift of word^m starting at the basepoint.  Both come from one walk on
+    the Cayley graph: the lift of word from vertex x ends at
+    x * theta(word), so word is walked again until the lift first returns
+    to the basepoint, after m rounds."""
+    vec, m = {}, 1
+    v = cover._walk(word, basepoint, vec)
+    while v != basepoint:
+        if m >= cover.n_vertices:
+            raise TooLarge(f"element order exceeds guard {cover.n_vertices}")
+        v, m = cover._walk(word, v, vec), m + 1
+    return m, {e: c for e, c in vec.items() if c}
 
 
 def d_primitive_predicate(d: int):
@@ -1125,17 +1118,13 @@ def isotypic_projection_check(
             "zero on H_1, which contains the regular representation"
         )
     return {
-        "name": "isotypic-projection",
-        "status": "pass",
-        "details": {
-            "group_order": cover.n_vertices,
-            "central_order": proj.central_order,
-            "dim_h1": cover.dim_h1(seed),
-            "words_annihilated": len(words),
-            "basepoint_spot_checks": spot_checks,
-            "h1_witness_cycle": witness_pos,
-            "modulus": d,
-        },
+        "group_order": cover.n_vertices,
+        "central_order": proj.central_order,
+        "dim_h1": cover.dim_h1(seed),
+        "words_annihilated": len(words),
+        "basepoint_spot_checks": spot_checks,
+        "h1_witness_cycle": witness_pos,
+        "modulus": d,
     }
 
 
@@ -1160,7 +1149,7 @@ def isotypic_invariants(proj: IsotypicProjector, samples: int = 5, seed: int = 0
         left = proj.apply_int(cover.deck_translate(perm, vec))
         if left != cover.deck_translate(perm, once):
             raise PropertyViolation("projector does not commute with the deck action")
-    return {"name": "isotypic-invariants", "status": "pass", "details": {"samples": samples}}
+    return {"samples": samples}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidConfig, ObservationViolation, TooLarge
+from .errors import InvalidConfig, ObservationViolation, PropertyViolation, TooLarge
 from .modular import is_prime
 
 
@@ -313,7 +313,8 @@ def canonicalize_pair_monomials(poly: Poly) -> Poly:
 def verify_nonvanishing(poly: Poly, limit: int = 10 ** 8) -> dict:
     """Brute-force evaluation on every nonzero point of F_r^n.
 
-    Returns a check record; guards the domain size with TooLarge.
+    Returns the details of the check; a zero raises PropertyViolation with
+    the point as its counterexample, and TooLarge guards the domain size.
     """
     r, n = poly.r, poly.nvars
     if r ** n > limit:
@@ -324,13 +325,5 @@ def verify_nonvanishing(poly: Poly, limit: int = 10 ** 8) -> dict:
             continue
         checked += 1
         if poly.evaluate(point) == 0:
-            return {
-                "name": "nonvanishing",
-                "status": "fail",
-                "details": {"first_zero": list(point), "points_checked": checked},
-            }
-    return {
-        "name": "nonvanishing",
-        "status": "pass",
-        "details": {"points_checked": checked},
-    }
+            raise PropertyViolation(f"P vanishes at the nonzero point {point}", counterexample=point)
+    return {"points_checked": checked}

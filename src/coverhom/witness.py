@@ -663,14 +663,10 @@ def verify_witness(
         check_witness_word(bundle, word)
 
     return {
-        "name": f"witness-{bundle.domain}",
-        "status": "pass",
-        "details": {
-            "classes": len(classes),
-            "samples": samples,
-            "modulus": d,
-            "exponent": bundle.exponent,
-        },
+        "classes": len(classes),
+        "samples": samples,
+        "modulus": d,
+        "exponent": bundle.exponent,
     }
 
 
@@ -696,11 +692,7 @@ def verify_quat_power_identity(r: int, k: int, samples: int = 1000, seed: int = 
                 f"power identity failed for {word.render()}: {got} != {expect}",
                 counterexample=word.render(),
             )
-    return {
-        "name": "quat-power-identity",
-        "status": "pass",
-        "details": {"r": r, "k": k, "sign": sign, "samples": samples},
-    }
+    return {"r": r, "k": k, "sign": sign, "samples": samples}
 
 
 def verify_relator_kill(rs=(3, 5, 7), ks=(1, 2, 3)) -> dict:
@@ -721,4 +713,4 @@ def verify_relator_kill(rs=(3, 5, 7), ks=(1, 2, 3)) -> dict:
             if a_sq + e_series + e_series * e_series != AlgElement.zero(spec):
                 raise PropertyViolation(f"A^2 + E + E^2 != 0 at (r={r}, k={k})")
             combos.append([r, k])
-    return {"name": "relator-kill", "status": "pass", "details": {"combos": combos}}
+    return {"combos": combos}

@@ -54,6 +54,12 @@ def test_missing_quotient_file_exits_two(capsys):
     assert main(["cover-report", "--quotient", "/nonexistent.json"]) == 2
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a directory cannot take the report: one line on stderr, no traceback
+    assert main(["nvpoly", "--r", "3", "--n", "2", "--out", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_report_determinism(capsys):
     argv = ["verify-free", "--r", "3", "--n", "2", "--k", "1", "--samples", "50", "--seed", "9"]
     code1, out1 = _run(capsys, *argv)
@@ -121,25 +127,26 @@ def test_witness_e2e_small(capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-def test_failed_check_exits_one(tmp_path, capsys):
+def test_failed_check_exits_one(monkeypatch, capsys):
     # a property violation becomes a fail record with the counterexample
     # and flips the exit code to 1
-    from coverhom.cli import _finish, _timed
+    from coverhom import cli
     from coverhom.errors import PropertyViolation
 
-    def violating_check():
+    def violating_check(*args, **kwargs):
         raise PropertyViolation("boom", counterexample={"word": "x1"})
 
     checks = []
-    record = _timed(checks, violating_check)
-    assert record is None
-    assert checks[0]["status"] == "fail"
-    assert checks[0]["details"]["counterexample"] == {"word": "x1"}
-
-    class Args:
-        out = str(tmp_path / "r.json")
-
-    assert _finish(Args(), "test", {}, checks) == 1
+    assert cli._timed(checks, "witness-free", violating_check) is None
+    fail = {"error": "boom", "counterexample": {"word": "x1"}}
+    assert (checks[0]["name"], checks[0]["status"], checks[0]["details"]) == (
+        "witness-free", "fail", fail
+    )
+    monkeypatch.setattr(cli, "verify_witness", violating_check)
+    code, out = _run(capsys, "verify-free", "--r", "3", "--n", "2", "--k", "1", "--samples", "10")
+    assert code == 1
+    last = json.loads(out)["checks"][-1]
+    assert (last["name"], last["status"], last["details"]) == ("witness-free", "fail", fail)
 
 
 def test_witness_e2e_orbit_rank_guard(capsys):
@@ -181,6 +188,43 @@ def test_guard_outside_a_check_still_reports(capsys):
     assert report["config"]["max_word_len"] == 2
 
 
+RESIDUE = {"domain": "free", "rank": 2, "type": "residue", "mod": 3, "images": [[1], [0]]}
+S5 = {
+    "domain": "surface",
+    "genus": 2,
+    "type": "perm",
+    "images": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (("nvpoly", "--r", "3", "--n", "2"), ["polynomial", "nonvanishing", "classification"]),
+        (("verify-free", "--r", "3", "--n", "2", "--k", "1", "--samples", "10"),
+         ["nonvanishing", "power-character-free", "witness-free"]),
+        (("verify-surface", "--r", "3", "--genus", "2", "--classes", "sampled", "--samples", "5"),
+         ["nonvanishing", "relator-kill", "quat-power-identity", "witness-surface"]),
+        (("cover-report", "--quotient", "q.json", "--orbit", "all", "--max-word-len", "2"),
+         ["gaschutz", "orbit-span"]),
+        (("witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2",
+          "--orbit-rank", "--orbit-word-len", "2", "--orbit-basepoints", "2"),
+         ["witness-free", "gaschutz", "isotypic-invariants", "isotypic-projection",
+          "orbit-span", "proper-subspace-certificate"]),
+        (("crt-lift", "--primes", "2,3", "--n", "2", "--samples", "10"), ["lift", "witness-free"]),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else None,
+)
+def test_each_command_names_its_checks(tmp_path, monkeypatch, capsys, argv, names):
+    # the names the benchmark looks its gated and timed checks up by
+    (tmp_path / "q.json").write_text(json.dumps(RESIDUE))
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [(name, "pass") for name in names]
+
+
 def _bad_quotient_exit(tmp_path, text):
     quot = tmp_path / "q.json"
     quot.write_text(text)
@@ -212,6 +256,39 @@ def test_quotient_non_unit_quat_image_exits_two(tmp_path, capsys):
         "images": [{"monomials": [[[0, 0, 0], 1], [[0, 0, 1], 1]]}],
     }
     assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+
+
+@pytest.mark.parametrize(
+    "quotient, theta, message",
+    [
+        (RESIDUE, None, "--orbit theta-nonkernel needs --theta"),
+        # theta(word) would read a generator image theta does not have
+        (RESIDUE, {**RESIDUE, "rank": 1, "images": [[1]]}, "free group of rank 1"),
+        (S5, RESIDUE, "free group of rank 2"),
+    ],
+    ids=["missing", "free-rank-1", "surface-genus-2"],
+)
+def test_theta_quotient_is_refused_before_the_cover(tmp_path, capsys, quotient, theta, message):
+    (tmp_path / "q.json").write_text(json.dumps(quotient))
+    argv = ["cover-report", "--quotient", str(tmp_path / "q.json"), "--orbit", "theta-nonkernel"]
+    if theta is not None:
+        (tmp_path / "t.json").write_text(json.dumps(theta))
+        argv += ["--theta", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0]
+
+
+def test_bad_primes_exit_two_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crt-lift", "--primes", "3,x", "--n", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "argument --primes: not a comma-separated list" in lines[0]
 
 
 def test_quotient_not_json_exits_two(tmp_path, capsys):
@@ -273,6 +350,10 @@ WITNESS = ("witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", 
          "--max-word-len"),
         # d = 0 divided by zero; d = 1 makes no word d-primitive
         (("cover-report", "--quotient", "q.json", "--d", "0"), "--d"),
+        # a negative count ran 10 or 0 samples, and the report echoed it
+        (("verify-free", "--r", "3", "--n", "2", "--samples", "-5"), "--samples"),
+        (("verify-surface", "--r", "3", "--genus", "2", "--samples", "-5"), "--samples"),
+        (("crt-lift", "--primes", "3,5", "--n", "2", "--samples", "-5"), "--samples"),
     ],
 )
 def test_vacuous_count_exits_two_with_one_line(capsys, argv, option):

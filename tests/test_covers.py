@@ -69,7 +69,7 @@ def test_free_cover_dims():
     c = _z3_free_cover()
     assert (c.n_vertices, c.n_edges) == (3, 6)
     assert c.dim_h1() == 4  # 6 - 3 + 1, and 1 + (n-1)|Q|
-    assert gaschutz_check(c)["status"] == "pass"
+    gaschutz_check(c)
 
 
 def test_surface_cover_dims():
@@ -77,7 +77,7 @@ def test_surface_cover_dims():
     c = build_cover(q)
     assert (c.n_vertices, c.n_edges, c.n_faces) == (3, 12, 3)
     assert c.dim_h1() == 8
-    assert gaschutz_check(c)["status"] == "pass"
+    gaschutz_check(c)
 
 
 def test_trivial_quotient_base_complex():
@@ -117,7 +117,7 @@ def test_gaschutz_random_quotients():
     for alphabet in (FREE2, Alphabet("free", 3), SURF2, Alphabet("surface", 3)):
         for _ in range(3):
             c = build_cover(random_quotient(alphabet, rng))
-            assert gaschutz_check(c)["status"] == "pass"
+            gaschutz_check(c)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,8 @@ def test_elevation_deck_equivariance():
 
 
 def test_word_orders_from_the_graph_match_the_algebra(sorted_witness_cover):
-    # an empty order cache, so every order is read off the graph here
-    for cover in (dataclasses.replace(sorted_witness_cover, _orders={}), _s5_surface_cover()):
+    # m is where the walk that builds the class first returns to its start
+    for cover in (sorted_witness_cover, _s5_surface_cover()):
         quotient = cover.quotient
         for word in reduced_words(cover.alphabet, 4):
             m, _ = elevation_class(cover, word, 0)
@@ -486,7 +486,7 @@ def test_surface_orbit_span_full_for_all_words():
     q = FiniteQuotient(SURF2, tuple(ResidueImage((v,), 2) for v in (1, 0, 0, 0)))
     c = build_cover(q)
     rank, dim = orbit_span_rank(c, lambda w: True, 3)
-    assert rank == dim == gaschutz_check(c)["details"]["dim_h1"]
+    assert rank == dim == gaschutz_check(c)["dim_h1"]
 
 
 def test_d_primitive_predicate():
@@ -540,9 +540,8 @@ def test_unit_image_quotient_rejects_non_units():
 def test_isotypic_certificate_small(sorted_witness_bundle, sorted_witness_cover):
     proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
     rec = isotypic_projection_check(proj, max_word_len=3, seed=1)
-    assert rec["status"] == "pass"
-    assert rec["details"]["central_order"] == 81
-    assert rec["details"]["h1_witness_cycle"] is not None
+    assert rec["central_order"] == 81
+    assert rec["h1_witness_cycle"] is not None
 
 
 def test_projector_refuses_a_surface_cover(sorted_witness_bundle):
@@ -554,8 +553,7 @@ def test_projector_refuses_a_surface_cover(sorted_witness_bundle):
 
 def test_isotypic_invariants(sorted_witness_bundle, sorted_witness_cover):
     proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
-    rec = isotypic_invariants(proj, samples=4, seed=3)
-    assert rec["status"] == "pass"
+    assert isotypic_invariants(proj, samples=4, seed=3) == {"samples": 4}
 
 
 def _reference_projector(proj):
@@ -647,7 +645,7 @@ def test_quotient_from_json_perm():
     }
     c = build_cover(quotient_from_json(data))
     assert c.n_vertices == 3
-    assert gaschutz_check(c)["status"] == "pass"
+    gaschutz_check(c)
     with pytest.raises(InvalidConfig):
         quotient_from_json({"domain": "free", "rank": 1, "type": "nope"})
 

@@ -7,6 +7,7 @@ from coverhom import (
     MonomialType,
     ObservationViolation,
     Poly,
+    PropertyViolation,
     TooLarge,
     build_nonvanishing,
     canonicalize_pair_monomials,
@@ -54,18 +55,17 @@ def test_brute_force_nonvanishing(r, n, k):
     p = build_nonvanishing(r, n, k)
     assert p.is_homogeneous() and p.total_degree() == r ** k
     rec = verify_nonvanishing(p)
-    assert rec["status"] == "pass"
-    assert rec["details"]["points_checked"] == r ** n - 1
+    assert rec["points_checked"] == r ** n - 1
 
 
 def test_verify_detects_zero():
     # a1 * a2 vanishes off the origin, e.g. at (1, 0)
     p = Poly(3, 2, {(1, 1): 1})
     assert p.evaluate((1, 0)) == 0
-    rec = verify_nonvanishing(p)
-    assert rec["status"] == "fail"
-    zero = rec["details"]["first_zero"]
-    assert any(zero) and p.evaluate(zero) == 0
+    with pytest.raises(PropertyViolation) as exc:
+        verify_nonvanishing(p)
+    assert exc.value.counterexample == (0, 1)
+    assert p.evaluate(exc.value.counterexample) == 0
 
 
 def test_verify_guard():
