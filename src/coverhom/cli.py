@@ -187,6 +187,8 @@ def cmd_cover_report(args, report):
                 f"--theta {args.theta} is a quotient of the {_group(theta.alphabet)}, "
                 f"--quotient {args.quotient} of the {_group(quotient.alphabet)}"
             )
+    elif args.theta is not None:
+        raise InvalidConfig("--theta is read only with --orbit theta-nonkernel")
     cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
     report["config"] = {
         "quotient": args.quotient,
@@ -374,7 +376,9 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--variant", choices=("full", "sorted"), default="sorted")
-    p.add_argument("--max-word-len", type=_at_least(1), default=6)
+    p.add_argument("--max-word-len", type=_at_least(1), default=6,
+                   help="length of the d-primitive words counted in the report; "
+                   "the certificate covers every word")
     p.add_argument("--orbit-rank", action="store_true",
                    help="also compute the rank of a sampled d-primitive span directly")
     p.add_argument("--orbit-word-len", type=_at_least(1), default=5)

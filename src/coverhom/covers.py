@@ -20,9 +20,12 @@ averaging operator pi = (1/|C|) sum_c omega^(-psi(c)) deck(c) over the
 central slice C kills the elevation class of every d-primitive word (the
 class is fixed by a deck element whose power lands in C off ker psi, and
 omega^psi(c) != 1 forces the projection to zero) while pi is nonzero on
-H_1, which contains the regular representation.  Cyclotomic arithmetic is
-exact, in the power basis of Z[omega] modulo the d-th cyclotomic
-polynomial.
+H_1, which contains the regular representation.  The kernel claim is
+certified for every word at every basepoint by one sweep of the Cayley
+graph: the exponent sums mod d of the tree words add e_i along each edge
+(v, i), and every vertex off their kernel has its e-th power in C off
+ker psi.  Cyclotomic arithmetic is exact, in the power basis of Z[omega]
+modulo the d-th cyclotomic polynomial.
 """
 
 import random
@@ -957,20 +960,6 @@ class IsotypicProjector:
                 f"projector entries may reach {self._entry_bound * peak}, beyond int64"
             )
 
-    def _orbit_sums(self, rows, verts, vals):
-        """(keys, sums): the distinct values of ``rows`` in increasing
-        order, and per key the d slots of the sum of its entries.  Entry n
-        sits at vertex verts[n] and holds vals[n, j] * omega^j, which
-        moves to slot phase + j."""
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        first = np.ones(rows.size, dtype=bool)  # the first entry of each key
-        first[1:] = rows[1:] != rows[:-1]
-        slots = (self.phase[verts[order], None] + np.arange(vals.shape[1])) % self.d
-        sums = np.zeros((np.count_nonzero(first), self.d), dtype=np.int64)
-        np.add.at(sums, (np.cumsum(first)[:, None] - 1, slots), vals[order])
-        return rows[first], sums
-
     def _apply(self, vec: dict, coeffs: list) -> dict:
         """S(O, i) for every orbit and letter the entries of vec touch,
         expanded over the orbit's members; coeffs[n] holds the leading
@@ -982,7 +971,12 @@ class IsotypicProjector:
         eids = np.fromiter(vec, dtype=np.int64, count=len(vec))
         g, d = self.cover.ngens, self.d
         verts = eids // g
-        keys, sums = self._orbit_sums(self.orbit[verts] * g + eids % g, verts, vals)
+        # entry n holds vals[n, j] * omega^j, which goes to slot phase + j of
+        # the sum of its (orbit, letter) key
+        keys, at = np.unique(self.orbit[verts] * g + eids % g, return_inverse=True)
+        slots = (self.phase[verts, None] + np.arange(vals.shape[1])) % d
+        sums = np.zeros((keys.size, d), dtype=np.int64)
+        np.add.at(sums, (at[:, None], slots), vals)
         # omega^(-p) sum_t s_t omega^t = sum_t s_(t+p) omega^t, so images[k, p]
         # is omega^(-p) S(k) in the power basis
         images = sums[:, (np.arange(d)[:, None] + np.arange(d)) % d] @ self.basis
@@ -993,28 +987,6 @@ class IsotypicProjector:
         vout = images[np.arange(keys.size)[:, None], self.phase[members]].reshape(-1, self.deg)
         order = np.argsort(eout)
         return dict(zip(eout[order].tolist(), map(tuple, vout[order].tolist())))
-
-    def first_nonzero(self, walks) -> int | None:
-        """Index of the first integer edge vector in ``walks`` with a
-        nonzero image, or None when P kills them all.  A chunk of walks is
-        stacked as ``_stack_walks`` pads them and zero-tested at once,
-        through their orbit sums S(O, i); chunks keep every temporary
-        within _BATCH_ENTRIES entries."""
-        g = self.cover.ngens
-        width = max((len(vec) for vec in walks), default=0)
-        step = max(1, _BATCH_ENTRIES // max(1, width * self.d))
-        per_walk = len(self.members) * g
-        for lo in range(0, len(walks), step):
-            eids, coeffs = _stack_walks(walks[lo : lo + step])
-            self._guard(int(np.abs(coeffs).max(initial=0)))
-            verts = eids // g
-            # one row of slots per (walk, orbit, letter); padding adds 0
-            rows = np.arange(len(eids))[:, None] * per_walk + self.orbit[verts] * g + eids % g
-            keys, sums = self._orbit_sums(rows.ravel(), verts.ravel(), coeffs.reshape(-1, 1))
-            live = (sums @ self.basis).any(axis=1)
-            if live.any():
-                return lo + int(keys[live][0] // per_walk)
-        return None
 
     def is_zero_in_h1(self, cyc_vec: dict) -> bool:
         """Zero test for a Z[omega]-valued cycle: a free cover has no
@@ -1047,8 +1019,15 @@ def _central_orbits(perms, psi):
     return orbit, phase, members
 
 
-# One d-primitive word in this many is also checked at a random basepoint.
-SPOT_CHECK_RATE = 16
+def _tree_words(cover: CoverComplex) -> np.ndarray:
+    """(V, depth) array whose row v spells the spanning-tree word of v from
+    the root as letter indices, padded at the end with ngens."""
+    levels = cover.tree_levels()
+    words = np.full((cover.n_vertices, len(levels)), cover.ngens, dtype=np.int64)
+    for depth, (verts, parents, letters) in enumerate(levels):
+        words[verts] = words[parents]
+        words[verts, depth] = letters
+    return words
 
 
 def isotypic_projection_check(
@@ -1056,55 +1035,66 @@ def isotypic_projection_check(
     max_word_len: int = 6,
     seed: int = 0,
 ) -> dict:
-    """The subspace certificate for one cover.
+    """The subspace certificate for one cover, for every word at every
+    basepoint.
 
-    (a) the projector kills the elevation class of every d-primitive word
-        of length <= max_word_len, at the identity basepoint and, by deck
-        equivariance (spot-checked here at a random basepoint for one word
-        in ``SPOT_CHECK_RATE``), at every basepoint;
-    (b) the projector is nonzero on H_1, witnessed by a fundamental cycle.
+    Let w be d-primitive and g = theta(w) of order m.  The lift of w^m at
+    vertex 0 passes through 1, g, ..., g^(m-1), and deck(g) rotates its m
+    pieces, so its class E is fixed by deck(g) and by deck(g^e).  If g^e = c
+    lies in C with psi(c) != 0, then P deck(c) = omega^psi(c) P, since the
+    projector certified psi additive on C, so (1 - omega^psi(c)) PE = 0 and
+    PE = 0.  At basepoint b the class is deck(b) E, fixed by deck(b g b^-1),
+    which has the exponent sums of g.  So two sweeps of the Cayley graph
+    settle every word:
 
+    (a) alpha, the exponent sums mod d of each vertex's tree word, adds e_i
+        along every edge (v, i); then alpha(theta(w)) is the exponent vector
+        of w mod d, and the images of the d-primitive words are the
+        vertices off ker alpha;
+    (b) every vertex g off ker alpha has g^e in C, the C-orbit of vertex 0,
+        with phase psi(g^e) != 0.
+
+    The powers are taken by square-and-multiply on all those vertices at
+    once, a product x y being the tree word of y walked from x.  Last, (c)
+    the projector is nonzero on H_1, witnessed by a fundamental cycle.
     Together these certify that the d-primitive classes span a proper
-    subspace of H_1 of the cover.  The identity-basepoint classes of all
-    words are zero-tested in one batch; the spot checks then draw word by
-    word up to the first class not killed, so a failure names the same
-    word, with the same draws, as a word-by-word loop.
+    subspace of H_1 of the cover.  ``max_word_len`` only sets the reported
+    count of d-primitive words of that length or less.
     """
-    rng = random.Random(seed)
-    cover, d = proj.cover, proj.d
-    primitive = d_primitive_predicate(d)
-    words, walks = [], []
-    for word in reduced_words(cover.alphabet, max_word_len):
-        if primitive(word):
-            m, vec = elevation_class(cover, word, 0)
-            words.append((word, m))
-            walks.append(vec)
-    bad = proj.first_nonzero(walks)
-    spot_checks = 0
-    for (word, _), vec in zip(words[:bad], walks):
-        if rng.randrange(SPOT_CHECK_RATE) == 0:
-            b = rng.randrange(cover.n_vertices)
-            _, bvec = elevation_class(cover, word, b)
-            # the basepoint-b elevation is the deck translate of the
-            # identity one, so killing the identity class kills them all;
-            # recheck both facts directly at this basepoint
-            if bvec != cover.deck_translate(cover.deck_perm(b), vec):
-                raise PropertyViolation(
-                    f"elevation at basepoint {b} is not the deck translate "
-                    f"for {word.render()}",
-                    counterexample=(word.render(), b),
-                )
-            if not proj.is_zero_in_h1(proj.apply_int(bvec)):
-                raise PropertyViolation(
-                    f"projection nonzero at basepoint {b} for {word.render()}",
-                    counterexample=(word.render(), b),
-                )
-            spot_checks += 1
-    if bad is not None:
-        word, m = words[bad]
+    cover, d, g = proj.cover, proj.d, proj.cover.ngens
+    words = _tree_words(cover)
+    alpha = np.stack([np.count_nonzero(words == i, axis=1) % d for i in range(g)], axis=1)
+    # (V, g, g): the exponent sums at the head of edge (v, i), less e_i
+    off = (alpha[cover.targets] - np.eye(g, dtype=np.int64)) % d != alpha[:, None]
+    if off.any():
+        v, i = (int(x) for x in np.argwhere(off.any(axis=2))[0])
         raise PropertyViolation(
-            f"projection of the elevation of {word.render()} (m={m}) is nonzero",
-            counterexample=word.render(),
+            f"edge ({v}, {i}) does not add e_{i + 1} to the exponent sums mod {d}",
+            counterexample=(v, i),
+        )
+    # the padding letter ngens stays put
+    steps = np.column_stack((cover.targets, np.arange(cover.n_vertices)))
+
+    def mul(x, y):
+        for letters in words[y].T:
+            x = steps[x, letters]
+        return x
+
+    primitive = np.flatnonzero(alpha.any(axis=1))
+    power, base, e = np.zeros_like(primitive), primitive, proj.bundle.exponent
+    while e:
+        if e & 1:
+            power = mul(power, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    ok = (proj.orbit[power] == proj.orbit[0]) & (proj.phase[power] != 0)
+    if not ok.all():
+        v = int(primitive[np.argmin(ok)])
+        word = GroupWord(cover.alphabet, tuple(int(x) + 1 for x in words[v] if x < g)).render()
+        raise PropertyViolation(
+            f"the e-th power of vertex {v} = theta({word}) is not in C off ker psi",
+            counterexample=word,
         )
     witness_pos = None
     for pos in range(len(cover.nontree)):
@@ -1121,8 +1111,10 @@ def isotypic_projection_check(
         "group_order": cover.n_vertices,
         "central_order": proj.central_order,
         "dim_h1": cover.dim_h1(seed),
-        "words_annihilated": len(words),
-        "basepoint_spot_checks": spot_checks,
+        "words_annihilated": sum(
+            map(d_primitive_predicate(d), reduced_words(cover.alphabet, max_word_len))
+        ),
+        "elements_certified": int(primitive.size),
         "h1_witness_cycle": witness_pos,
         "modulus": d,
     }

@@ -156,6 +156,7 @@ def test_criterion_07_end_to_end_small_witness(sorted_witness_bundle, sorted_wit
         seed=17,
     )
     assert rec["words_annihilated"] > 1000
+    assert rec["elements_certified"] == 1944  # |G| (1 - 3^-2): every 3-primitive element
     assert rec["h1_witness_cycle"] is not None
     # direct rank measurement on a sampled basepoint set: more rows than
     # columns, yet far from full rank, as the certificate forces
@@ -171,8 +172,8 @@ def test_criterion_07_end_to_end_small_witness(sorted_witness_bundle, sorted_wit
     _report(
         "criterion 7 (end-to-end certificate)",
         elapsed,
-        f"|G|={order}, dim H1={cover.dim_h1()}, {rec['words_annihilated']} primitive words killed, "
-        f"projection nonzero on H1, sampled span rank {rank} < {dim}",
+        f"|G|={order}, dim H1={cover.dim_h1()}, all {rec['elements_certified']} primitive "
+        f"elements certified, projection nonzero on H1, sampled span rank {rank} < {dim}",
     )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from coverhom import covers
 from coverhom.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -259,21 +260,30 @@ def test_quotient_non_unit_quat_image_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "quotient, theta, message",
+    "quotient, orbit, theta, message",
     [
-        (RESIDUE, None, "--orbit theta-nonkernel needs --theta"),
+        (RESIDUE, "theta-nonkernel", None, "--orbit theta-nonkernel needs --theta"),
         # theta(word) would read a generator image theta does not have
-        (RESIDUE, {**RESIDUE, "rank": 1, "images": [[1]]}, "free group of rank 1"),
-        (S5, RESIDUE, "free group of rank 2"),
+        (RESIDUE, "theta-nonkernel", {**RESIDUE, "rank": 1, "images": [[1]]},
+         "free group of rank 1"),
+        (S5, "theta-nonkernel", RESIDUE, "free group of rank 2"),
+        # a misspelt or missing --orbit left theta unread, and the run passed
+        (RESIDUE, None, RESIDUE, "--theta is read only with --orbit theta-nonkernel"),
+        (RESIDUE, "d-primitive", RESIDUE, "--theta is read only with --orbit theta-nonkernel"),
     ],
-    ids=["missing", "free-rank-1", "surface-genus-2"],
+    ids=["missing", "free-rank-1", "surface-genus-2", "no-orbit", "d-primitive-orbit"],
 )
-def test_theta_quotient_is_refused_before_the_cover(tmp_path, capsys, quotient, theta, message):
+def test_theta_quotient_is_refused_before_the_cover(
+    tmp_path, capsys, monkeypatch, quotient, orbit, theta, message
+):
     (tmp_path / "q.json").write_text(json.dumps(quotient))
-    argv = ["cover-report", "--quotient", str(tmp_path / "q.json"), "--orbit", "theta-nonkernel"]
+    argv = ["cover-report", "--quotient", str(tmp_path / "q.json")]
+    if orbit is not None:
+        argv += ["--orbit", orbit]
     if theta is not None:
         (tmp_path / "t.json").write_text(json.dumps(theta))
         argv += ["--theta", str(tmp_path / "t.json")]
+    monkeypatch.setattr(covers, "build_cover", lambda *args, **kwargs: pytest.fail("cover built"))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

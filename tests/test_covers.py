@@ -541,6 +541,7 @@ def test_isotypic_certificate_small(sorted_witness_bundle, sorted_witness_cover)
     proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
     rec = isotypic_projection_check(proj, max_word_len=3, seed=1)
     assert rec["central_order"] == 81
+    assert rec["elements_certified"] == 2187 - 243
     assert rec["h1_witness_cycle"] is not None
 
 
@@ -718,43 +719,94 @@ def test_central_orbits_refuse_an_action_that_is_not_free():
     assert orbit.tolist() == [0, 0, 1, 1] and phase.tolist() == [0, 1, 0, 1]
 
 
-@pytest.mark.parametrize("budget", [40, covers._BATCH_ENTRIES])
-def test_batched_zero_test_matches_a_loop_over_the_reference(
-    monkeypatch, sorted_witness_bundle, sorted_witness_cover, budget
+def _tree_word(cover, v):
+    letters = []
+    while v:
+        v, i = cover.tree_parent[v]
+        letters.append(i + 1)
+    return GroupWord(cover.alphabet, tuple(reversed(letters)))
+
+
+def test_group_sweep_agrees_with_the_reference_on_short_words(
+    sorted_witness_bundle, sorted_witness_cover
+):
+    # the sorted and full variants at r = 3, and the sorted one at r = 2
+    full, r2 = assemble_witness_free(3, 2, 1, "full"), assemble_witness_free(2, 2, None, "sorted")
+    for bundle, cover in (
+        (sorted_witness_bundle, sorted_witness_cover),
+        (full, build_cover(quotient_from_bundle(full))),
+        (r2, build_cover(quotient_from_bundle(r2))),
+    ):
+        proj = IsotypicProjector(cover, bundle)
+        rec = isotypic_projection_check(proj, max_word_len=3)
+        # every d-primitive word is certified, so the slow path kills each
+        # short one at any basepoint
+        ref_int, _ = _reference_projector(proj)
+        primitive = d_primitive_predicate(bundle.modulus)
+        words = [w for w in reduced_words(FREE2, 3) if primitive(w)]
+        assert rec["words_annihilated"] == len(words)
+        rng = random.Random(bundle.modulus)
+        for b in [0] + rng.sample(range(1, cover.n_vertices), 3):
+            for word in words:
+                assert ref_int(elevation_class(cover, word, b)[1]) == {}, (word.render(), b)
+        # the elements certified are the vertices off ker alpha, with alpha
+        # read off the algebra
+        off = sum(
+            any(bundle.alpha_of_images(bundle.images(_tree_word(cover, v))))
+            for v in range(cover.n_vertices)
+        )
+        assert rec["elements_certified"] == off
+
+
+@pytest.mark.parametrize("table", ["phase", "orbit"])
+def test_group_sweep_reads_the_power_off_the_tables(
+    sorted_witness_bundle, sorted_witness_cover, table
 ):
     cover = sorted_witness_cover
     proj = IsotypicProjector(cover, sorted_witness_bundle)
-    ref_int, _ = _reference_projector(proj)
-    monkeypatch.setattr(covers, "_BATCH_ENTRIES", budget)
-    primitive = d_primitive_predicate(3)
-    killed = [elevation_class(cover, w, 0)[1] for w in reduced_words(FREE2, 3) if primitive(w)]
-    assert proj.first_nonzero(killed) is None
-    rng = random.Random(88)
-    for _ in range(6):
-        walks = list(killed)
-        for _ in range(3):
-            walks.insert(rng.randrange(len(walks) + 1), cover.fundamental_cycle(rng.randrange(50)))
-        expect = next(n for n, vec in enumerate(walks) if ref_int(vec))
-        assert proj.first_nonzero(walks) == expect
-    assert proj.first_nonzero([]) is None and proj.first_nonzero([{}]) is None
+    # c = x1^3, the cube of vertex 1, loses its phase or leaves C
+    c = 0
+    for _ in range(sorted_witness_bundle.exponent):
+        c = int(cover.targets[c, 0])
+    assert c and proj.orbit[c] == proj.orbit[0] and proj.phase[c]
+    values = getattr(proj, table).copy()
+    values[c] = 0 if table == "phase" else proj.orbit[1]
+    setattr(proj, table, values)
+    with pytest.raises(PropertyViolation, match="not in C off ker psi") as exc:
+        isotypic_projection_check(proj, max_word_len=2)
+    assert exc.value.counterexample == GroupWord(FREE2, (1,)).render()
 
 
-def test_batched_check_names_the_first_word_a_loop_would(
+def test_group_sweep_refuses_a_wrong_exponent(sorted_witness_bundle, sorted_witness_cover):
+    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    proj.bundle = dataclasses.replace(proj.bundle, exponent=proj.bundle.exponent + 1)
+    with pytest.raises(PropertyViolation, match="not in C off ker psi"):
+        isotypic_projection_check(proj, max_word_len=2)
+
+
+def test_group_sweep_refuses_a_redirected_edge(sorted_witness_bundle, sorted_witness_cover):
+    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    v, i = sorted_witness_cover.nontree[100]
+    targets = sorted_witness_cover.targets.copy()
+    targets[v, i] = targets[v, 1 - i]
+    proj.cover = dataclasses.replace(sorted_witness_cover, targets=targets)
+    with pytest.raises(PropertyViolation, match="does not add") as exc:
+        isotypic_projection_check(proj, max_word_len=2)
+    assert exc.value.counterexample == (v, i)
+
+
+def test_group_sweep_names_the_first_vertex_off_ker_alpha(
     monkeypatch, sorted_witness_bundle, sorted_witness_cover
 ):
-    # psi = 0 averages over C, which kills no d-primitive class
+    # psi = 0 averages over C, which kills no d-primitive class; vertex 1,
+    # the image of x1, is the first vertex the sweep certifies
     monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: 0)
-    cover = sorted_witness_cover
-    proj = IsotypicProjector(cover, sorted_witness_bundle)
-    ref_int, _ = _reference_projector(proj)
-    primitive = d_primitive_predicate(3)
-    words = [w for w in reduced_words(FREE2, 3) if primitive(w)]
-    first = next(w for w in words if ref_int(elevation_class(cover, w, 0)[1]))
-    m = elevation_class(cover, first, 0)[0]
+    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
     with pytest.raises(PropertyViolation) as exc:
-        isotypic_projection_check(proj, max_word_len=3, seed=1)
-    assert str(exc.value) == f"projection of the elevation of {first.render()} (m={m}) is nonzero"
-    assert exc.value.counterexample == first.render()
+        isotypic_projection_check(proj, max_word_len=3)
+    word = _tree_word(sorted_witness_cover, 1).render()
+    assert str(exc.value) == f"the e-th power of vertex 1 = theta({word}) is not in C off ker psi"
+    assert exc.value.counterexample == word == GroupWord(FREE2, (1,)).render()
 
 
 @pytest.mark.parametrize("fault", ["swap", "additive"])

@@ -41,6 +41,10 @@ def test_trace_cli_records_the_projector(tmp_path):
     # word orders are read off the cover's graph, not multiplied out in
     # the algebra
     assert metrics["covers.element_order.calls_per_word"] == 0.0
+    # the certificate sweeps the group: it walks no word, and zero-tests
+    # only the witness cycle
+    assert metrics["covers.elevation_class.calls"] == 0
+    assert metrics["covers.projector.zero_test.calls"] == 1
 
 
 def test_trace_cli_counts_power_products(tmp_path):
