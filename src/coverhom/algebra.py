@@ -264,11 +264,25 @@ def _mul_quat_terms(cap, aterms, bterms):
     return out
 
 
-def _mul_terms(spec, aterms, bterms):
-    """Unreduced product of two term maps, by the spec's kernel."""
+def _mul_terms(spec, aterms, bterms, top=None):
+    """Unreduced product of two term maps, by the spec's kernel, keeping
+    the degrees <= ``top`` (default the truncation degree D)."""
+    top = spec.cap if top is None else top
     if spec.kind == "quat":
-        return _mul_quat_terms(spec.cap, aterms, bterms)
-    return _mul_word_terms(spec.kind, spec.cap, aterms, bterms)
+        return _mul_quat_terms(top, aterms, bterms)
+    return _mul_word_terms(spec.kind, top, aterms, bterms)
+
+
+def _reduced(spec, raw):
+    """A product's unreduced term map as an element: coefficients mod r,
+    zeros dropped."""
+    r = spec.r
+    out = {}
+    for mono, c in raw.items():
+        c %= r
+        if c:
+            out[mono] = c
+    return AlgElement._raw(spec, out)
 
 
 class AlgElement:
@@ -381,15 +395,7 @@ class AlgElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        spec = self.spec
-        raw = _mul_terms(spec, self.terms, other.terms)
-        r = spec.r
-        out = {}
-        for mono, c in raw.items():
-            c %= r
-            if c:
-                out[mono] = c
-        return AlgElement._raw(spec, out)
+        return _reduced(self.spec, _mul_terms(self.spec, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -608,6 +614,60 @@ def quat_term(spec, u, v, unit, coeff=1) -> AlgElement:
     return AlgElement(spec, {(u, v, unit): coeff})
 
 
+def truncate(a: AlgElement, top: int) -> AlgElement:
+    """``a`` modulo the degrees above ``top``.  Those degrees span an
+    ideal, so truncation commutes with sums and products."""
+    spec = a.spec
+    if top >= spec.cap:
+        return a
+    deg = spec.degree
+    return AlgElement._raw(spec, {m: c for m, c in a.terms.items() if deg(m) <= top})
+
+
+def truncated_product(a: AlgElement, b: AlgElement, top: int) -> AlgElement:
+    """a * b modulo the degrees above ``top``, by the product kernel cut
+    at ``top`` instead of D.  Below D it skips ``AlgElement.__mul__``, so
+    the benchmark's layer wrappers do not count it."""
+    spec = a.spec
+    if top >= spec.cap:
+        return a * b
+    if b.spec != spec:
+        raise SpecMismatch(f"{b.spec} != {spec}")
+    return _reduced(spec, _mul_terms(spec, a.terms, b.terms, top))
+
+
+def _digit_plan(spec: AlgebraSpec, e: int):
+    """The base-r digits e_j of e for r^j <= D, and need[j], the highest
+    degree of z_j = y^(r^j) that can still reach c (1 + y)^e, for e >= 0:
+    None when no digit from j on is nonzero, D at a nonzero digit, and
+    otherwise need[j + 1] less the (r - 1) r^j degrees that z_j^r adds."""
+    r, cap = spec.r, spec.cap
+    digits = []
+    q, step = e, 1
+    while step <= cap:
+        q, digit = divmod(q, r)
+        digits.append(digit)
+        step *= r
+    need = [None] * (len(digits) + 1)
+    for j in reversed(range(len(digits))):
+        if digits[j]:
+            need[j] = cap
+        elif need[j + 1] is not None:
+            need[j] = need[j + 1] - (r - 1) * r ** j
+    return digits, need
+
+
+def power_reach(spec: AlgebraSpec, e: int) -> int:
+    """The highest degree of y that c (1 + y)^e reads, for c a nonzero
+    scalar: power(a, e) == power(truncate(a, t), e) for every such a and
+    every t >= power_reach(spec, e).  D for e < 2; 1 for e = r^k, and
+    for e = 930 at D = 3 and 5; 0 when the power is the scalar c^e."""
+    if e < 2:
+        return spec.cap
+    need = _digit_plan(spec, e)[1][0]
+    return 0 if need is None else need
+
+
 def power(a: AlgElement, e: int) -> AlgElement:
     """Exact e-th power.
 
@@ -619,7 +679,9 @@ def power(a: AlgElement, e: int) -> AlgElement:
 
     over the base-r digits e_j of e.  z_j starts in degree r^j, so the
     product stops at the first r^j > D, and each z_j is cut to the degrees
-    that can still reach the result.  Any other element (a quaternion unit
+    that can still reach the result (:func:`_digit_plan`).  So the power
+    reads y only up to degree :func:`power_reach`, and the witness sweeps
+    build their images no further.  Any other element (a quaternion unit
     i, j, k in degree 0, or c = 0) is raised by plain square-and-multiply,
     dropping only partial powers that start above degree D.
     Every ring product goes through ``*``, where the benchmark's layer
@@ -651,20 +713,7 @@ def power(a: AlgElement, e: int) -> AlgElement:
             y[mono] = coeff * inv % r
         elif mono != one_mono:
             return _chain_power(a, e, 0, cap)
-    digits = []
-    q, step = e, 1
-    while step <= cap:
-        q, digit = divmod(q, r)
-        digits.append(digit)
-        step *= r
-    # need[j]: the highest degree of z_j that can still reach the result,
-    # None when no digit from j on is nonzero
-    need = [None] * (len(digits) + 1)
-    for j in reversed(range(len(digits))):
-        if digits[j]:
-            need[j] = cap
-        elif need[j + 1] is not None:
-            need[j] = need[j + 1] - (r - 1) * r ** j
+    digits, need = _digit_plan(spec, e)
     result = None
     z, step = AlgElement._raw(spec, y), 1
     for j, digit in enumerate(digits):
@@ -691,22 +740,14 @@ def _chain_power(x, n, low, top):
     ``low``, keeping only the degrees <= ``top`` of the result: a partial
     power x^m keeps degrees <= top - (n - m) * low, since each of the
     n - m factors still to come adds at least ``low``."""
-    def cut(elem, m):
-        bound = top - (n - m) * low
-        if bound >= cap:
-            return elem
-        return AlgElement._raw(spec, {k: v for k, v in elem.terms.items() if deg(k) <= bound})
-
-    spec = x.spec
-    cap, deg = spec.cap, spec.degree
-    x = acc = cut(x, 1)
+    x = acc = truncate(x, top - (n - 1) * low)
     m = 1
     for bit in bin(n)[3:]:
         m *= 2
-        acc = cut(acc * acc, m)
+        acc = truncate(acc * acc, top - (n - m) * low)
         if bit == "1":
             m += 1
-            acc = cut(acc * x, m)
+            acc = truncate(acc * x, top - (n - m) * low)
     return acc
 
 

@@ -699,6 +699,29 @@ def d_primitive_predicate(d: int):
     return lambda word: any(v % d for v in word.exponent_vector())
 
 
+def count_d_primitive_words(alphabet: Alphabet, max_len: int, d: int) -> int:
+    """The number of freely reduced words of length <= max_len that are
+    d-primitive, without listing them: a dynamic program over (last
+    letter, exponent vector mod d), one layer per length."""
+    n = alphabet.ngens
+    steps = [(letter, i, 1 if letter > 0 else d - 1)
+             for i in range(n) for letter in (i + 1, -i - 1)]
+    layer = {(0, (0,) * n): 1}  # the empty word, with no last letter
+    total = 0
+    for _ in range(max_len):
+        nxt = {}
+        for (last, vec), count in layer.items():
+            for letter, i, step in steps:
+                if letter == -last:
+                    continue
+                grown = vec[:i] + ((vec[i] + step) % d,) + vec[i + 1:]
+                key = (letter, grown)
+                nxt[key] = nxt.get(key, 0) + count
+        layer = nxt
+        total += sum(count for (_, vec), count in layer.items() if any(vec))
+    return total
+
+
 def nonkernel_predicate(theta: FiniteQuotient):
     ident = theta.identity.key()
     return lambda word: theta.evaluate(word).key() != ident
@@ -1111,9 +1134,7 @@ def isotypic_projection_check(
         "group_order": cover.n_vertices,
         "central_order": proj.central_order,
         "dim_h1": cover.dim_h1(seed),
-        "words_annihilated": sum(
-            map(d_primitive_predicate(d), reduced_words(cover.alphabet, max_word_len))
-        ),
+        "words_annihilated": count_d_primitive_words(cover.alphabet, max_word_len, d),
         "elements_certified": int(primitive.size),
         "h1_witness_cycle": witness_pos,
         "modulus": d,

@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (
     AlgElement,
@@ -32,10 +32,13 @@ from .algebra import (
     m_spec,
     one,
     power,
+    power_reach,
     quat_spec,
     quat_term,
     sorted_spec,
     symbol,
+    truncate,
+    truncated_product,
 )
 from .errors import InvalidConfig, PropertyViolation
 from .modular import catalan_mod, crt_coefficients
@@ -206,29 +209,37 @@ def _magnus_images(spec: AlgebraSpec):
 
 
 @lru_cache(maxsize=1024)
-def _syllable(images, spec: AlgebraSpec, letter: int, m: int) -> AlgElement:
-    """The image g^m of a run of m equal letters, where ``images(spec)``
-    gives the generator images and their inverses.  Built from the two
-    halves of the run with ``*``, so the recursion stays shallow."""
+def _syllable(images, spec: AlgebraSpec, letter: int, m: int, top: int) -> AlgElement:
+    """The image g^m of a run of m equal letters modulo the degrees above
+    ``top``, where ``images(spec)`` gives the generator images and their
+    inverses.  Built from the two halves of the run, so the recursion
+    stays shallow."""
     if m == 1:
         imgs, invs = images(spec)
-        return imgs[letter - 1] if letter > 0 else invs[-letter - 1]
+        return truncate(imgs[letter - 1] if letter > 0 else invs[-letter - 1], top)
     half = m // 2
-    return _syllable(images, spec, letter, half) * _syllable(images, spec, letter, m - half)
+    return truncated_product(
+        _syllable(images, spec, letter, half, top),
+        _syllable(images, spec, letter, m - half, top),
+        top,
+    )
 
 
-def _word_image(word: GroupWord, spec: AlgebraSpec, images) -> AlgElement:
-    """The image of a word as one product per syllable: each run of equal
-    letters is looked up whole in the syllable cache."""
+def _word_image(word: GroupWord, spec: AlgebraSpec, images, top=None) -> AlgElement:
+    """The image of a word modulo the degrees above ``top`` (default none)
+    as one product per syllable: each run of equal letters is looked up
+    whole in the syllable cache."""
+    top = spec.cap if top is None else min(top, spec.cap)
     acc = None
     for letter, run in itertools.groupby(word.letters):
-        g = _syllable(images, spec, letter, sum(1 for _ in run))
-        acc = g if acc is None else acc * g
+        g = _syllable(images, spec, letter, sum(1 for _ in run), top)
+        acc = g if acc is None else truncated_product(acc, g, top)
     return one(spec) if acc is None else acc
 
 
-def magnus_image(word: GroupWord, spec: AlgebraSpec) -> AlgElement:
-    """Image of a word under generator i -> 1 + X_i.
+def magnus_image(word: GroupWord, spec: AlgebraSpec, top=None) -> AlgElement:
+    """Image of a word under generator i -> 1 + X_i, modulo the degrees
+    above ``top`` when one is given.
 
     Works for the free and sorted kinds (free alphabet) and the
     adjacency-killed kind (surface alphabet: the pair cross terms vanish,
@@ -240,7 +251,7 @@ def magnus_image(word: GroupWord, spec: AlgebraSpec) -> AlgElement:
         raise InvalidConfig(
             f"word has {word.alphabet.ngens} generators, algebra {spec.ngens}"
         )
-    return _word_image(word, spec, _magnus_images)
+    return _word_image(word, spec, _magnus_images, top)
 
 
 def catalan_series(r: int, k: int) -> AlgElement:
@@ -269,18 +280,19 @@ def _quaternion_images(spec: AlgebraSpec):
     return imgs, invs
 
 
-def quaternion_image(word: GroupWord, spec: AlgebraSpec) -> AlgElement:
+def quaternion_image(word: GroupWord, spec: AlgebraSpec, top=None) -> AlgElement:
     """Image of a genus-2 surface word under
 
         x1 -> 1 + Ai + Ek,  y1 -> 1 + Bj,  x2 -> 1 + Aj - Ek,  y2 -> 1 + Bi
 
-    with E the Catalan tail series.  The genus-2 relator maps to 1.
+    with E the Catalan tail series, modulo the degrees above ``top`` when
+    one is given.  The genus-2 relator maps to 1.
     """
     if spec.kind != "quat":
         raise InvalidConfig("quaternion_image needs the quat kind")
     if word.alphabet != Alphabet("surface", 2):
         raise InvalidConfig("quaternion_image takes genus-2 surface words")
-    return _word_image(word, spec, _quaternion_images)
+    return _word_image(word, spec, _quaternion_images, top)
 
 
 def collapse_to_genus_two(word: GroupWord, pair: int, swapped: bool = False) -> GroupWord:
@@ -361,8 +373,8 @@ class MagnusFactor:
     spec: AlgebraSpec
     chi: CentralCharacter
 
-    def image(self, word: GroupWord) -> AlgElement:
-        return magnus_image(word, self.spec)
+    def image(self, word: GroupWord, top=None) -> AlgElement:
+        return magnus_image(word, self.spec, top)
 
     def chi_value(self, central: AlgElement) -> int:
         return self.chi(central)
@@ -384,8 +396,10 @@ class QuatFactor:
     sign: int
     chi: CentralCharacter
 
-    def image(self, word: GroupWord) -> AlgElement:
-        return quaternion_image(collapse_to_genus_two(word, self.pair, self.swapped), self.spec)
+    def image(self, word: GroupWord, top=None) -> AlgElement:
+        return quaternion_image(
+            collapse_to_genus_two(word, self.pair, self.swapped), self.spec, top
+        )
 
     def chi_value(self, central: AlgElement) -> int:
         return (self.weight * self.chi(central)) % self.spec.r
@@ -420,17 +434,31 @@ class WitnessBundle:
             return Alphabet("free", self.rank)
         return Alphabet("surface", self.rank // 2)
 
-    def images(self, word: GroupWord):
-        return tuple(
-            tuple(f.image(word) for f in comp.factors) for comp in self.components
+    @cached_property
+    def sweep_top(self) -> int:
+        """The degree the sweep builds images to: the highest degree of any
+        factor's image that its e-th power reads, and at least 1, where
+        alpha is read."""
+        return max(
+            1,
+            *(power_reach(f.spec, self.exponent) for comp in self.components for f in comp.factors),
         )
 
-    def power_images(self, images):
-        e = self.exponent
-        return tuple(tuple(power(g, e) for g in comp) for comp in images)
+    def images(self, word: GroupWord, top=None):
+        """rho(word) per component and factor, modulo the degrees above
+        ``top`` when one is given."""
+        return tuple(
+            tuple(f.image(word, top) for f in comp.factors) for comp in self.components
+        )
 
-    def centrals_ok(self, powered) -> bool:
-        return all(in_central_subgroup(c) for comp in powered for c in comp)
+    def verdict(self, images):
+        """(whether every factor's e-th power is central, psi of the powers
+        or None when one is not)."""
+        e = self.exponent
+        powered = tuple(tuple(power(g, e) for g in comp) for comp in images)
+        if not all(in_central_subgroup(c) for comp in powered for c in comp):
+            return False, None
+        return True, self.psi_of_centrals(powered)
 
     def alpha_of_images(self, images):
         """Sum of q_i-weighted per-prime abelianisations, mod d.
@@ -573,29 +601,38 @@ def crt_lift(bundles) -> WitnessBundle:
 # verification
 
 
-def check_witness_word(bundle: WitnessBundle, word: GroupWord) -> int:
+def check_witness_word(bundle: WitnessBundle, word: GroupWord, memo=None) -> int:
     """All bundle properties on one word; returns the psi value.
 
-    Checks: rho(word)^e central in every factor, alpha of the images equals
-    the mod-d exponent vector, psi equals sum q_i P_i(alpha), and the value
-    is nonzero whenever alpha is nonzero mod d.
+    Checks: alpha of the images equals the mod-d exponent vector,
+    rho(word)^e is central in every factor, psi equals sum q_i P_i(alpha),
+    and the value is nonzero whenever alpha is nonzero mod d.
+
+    The images are built only up to ``bundle.sweep_top``, the degree the
+    e-th power reads, so the powers are exact.  ``memo``, a dict kept
+    across the words of one sweep, maps those truncated images to their
+    (central, psi) verdict, so each distinct image is powered once; the
+    alpha, expected-value and nonzero checks still run on every word.
     """
     d = bundle.modulus
     alpha_d = tuple(v % d for v in word.exponent_vector())
-    images = bundle.images(word)
+    images = bundle.images(word, bundle.sweep_top)
     got_alpha = bundle.alpha_of_images(images)
     if got_alpha != alpha_d:
         raise PropertyViolation(
             f"alpha mismatch for {word.render()}: {got_alpha} != {alpha_d}",
             counterexample=word.render(),
         )
-    powered = bundle.power_images(images)
-    if not bundle.centrals_ok(powered):
+    memo = {} if memo is None else memo
+    verdict = memo.get(images)
+    if verdict is None:
+        verdict = memo[images] = bundle.verdict(images)
+    central, psi = verdict
+    if not central:
         raise PropertyViolation(
             f"rho(w)^{bundle.exponent} not central for {word.render()}",
             counterexample=word.render(),
         )
-    psi = bundle.psi_of_centrals(powered)
     expect = bundle.expected_value(alpha_d)
     if psi != expect:
         raise PropertyViolation(
@@ -617,6 +654,39 @@ CLASS_CAP = 10000
 MONOMIAL_GUARD = 10 ** 6
 
 
+def sweep_words(
+    bundle: WitnessBundle,
+    exhaustive: bool = True,
+    samples: int = 0,
+    seed: int = 0,
+    sample_len: int = 6,
+):
+    """The class count and the words :func:`verify_witness` checks, in
+    order: the positive word of each nonzero class, then ``samples``
+    random words.  Every nonzero class when ``exhaustive`` and d^rank is
+    at most ``CLASS_CAP``; else min(CLASS_CAP, samples, d^rank - 1)
+    distinct nonzero classes drawn at random (at least one)."""
+    rng = random.Random(seed)
+    d, rank = bundle.modulus, bundle.rank
+    if exhaustive and d ** rank <= CLASS_CAP:
+        classes = [vec for vec in itertools.product(range(d), repeat=rank) if any(vec)]
+    else:
+        seen = set()
+        want = min(CLASS_CAP, max(samples, 1), d ** rank - 1)
+        while len(seen) < want:
+            vec = tuple(rng.randrange(d) for _ in range(rank))
+            if any(vec):
+                seen.add(vec)
+        classes = sorted(seen)
+
+    def random_words():
+        for _ in range(samples):
+            yield random_word(bundle.alphabet, rng, rng.randrange(1, sample_len + 1))
+
+    words = (word_from_exponents(bundle.alphabet, vec) for vec in classes)
+    return len(classes), itertools.chain(words, random_words())
+
+
 def verify_witness(
     bundle: WitnessBundle,
     exhaustive: bool = True,
@@ -625,8 +695,13 @@ def verify_witness(
     sample_len: int = 6,
 ) -> dict:
     """Walk abelianisation classes via representative positive words, then
-    random words.  Exhaustive when d^rank is at most ``CLASS_CAP``, else
-    sampled.  Factors beyond ``MONOMIAL_GUARD`` basis monomials are refused.
+    random words (:func:`sweep_words`).  Exhaustive when d^rank is at most
+    ``CLASS_CAP``, else sampled.  Factors beyond ``MONOMIAL_GUARD`` basis
+    monomials are refused.  One memo serves the whole sweep, so each
+    distinct truncated image is raised to the e-th power once.  When the
+    power reads only degree 1, as for e = r^k, the truncated images are
+    fixed by the class mod d, so the sweep takes at most d^rank powers per
+    factor however many random words it checks.
     """
     for comp in bundle.components:
         for f in comp.factors:
@@ -638,34 +713,14 @@ def verify_witness(
                         f"sweep guard {MONOMIAL_GUARD}; this parameter size is "
                         "constructible but not verifiable by dense powering"
                     )
-    rng = random.Random(seed)
-    d = bundle.modulus
-    if exhaustive and d ** bundle.rank <= CLASS_CAP:
-        classes = [
-            vec
-            for vec in itertools.product(range(d), repeat=bundle.rank)
-            if any(vec)
-        ]
-    else:
-        seen = set()
-        want = min(CLASS_CAP, max(samples, 1))
-        while len(seen) < want:
-            vec = tuple(rng.randrange(d) for _ in range(bundle.rank))
-            if any(vec):
-                seen.add(vec)
-        classes = sorted(seen)
-
-    for vec in classes:
-        check_witness_word(bundle, word_from_exponents(bundle.alphabet, vec))
-
-    for _ in range(samples):
-        word = random_word(bundle.alphabet, rng, rng.randrange(1, sample_len + 1))
-        check_witness_word(bundle, word)
-
+    classes, words = sweep_words(bundle, exhaustive, samples, seed, sample_len)
+    memo = {}
+    for word in words:
+        check_witness_word(bundle, word, memo)
     return {
-        "classes": len(classes),
+        "classes": classes,
         "samples": samples,
-        "modulus": d,
+        "modulus": bundle.modulus,
         "exponent": bundle.exponent,
     }
 
@@ -678,10 +733,11 @@ def verify_quat_power_identity(r: int, k: int, samples: int = 1000, seed: int = 
     sign = quat_sign(r, k)
     local = quat_power_poly(r, k)
     alphabet = Alphabet("surface", 2)
+    top = max(1, power_reach(spec, cap))
     rng = random.Random(seed)
     for t in range(samples):
         word = random_word(alphabet, rng, rng.randrange(1, 9))
-        g = quaternion_image(word, spec)
+        g = quaternion_image(word, spec, top)
         c = power(g, cap)
         if not in_central_subgroup(c):
             raise PropertyViolation(f"g^{cap} not central for {word.render()}")

@@ -41,6 +41,7 @@ from coverhom.covers import (
     _central_orbits,
     _rank_exact,
     _rank_mod_p,
+    count_d_primitive_words,
     cyclotomic_polynomial,
     omega_powers,
     orbit_rows,
@@ -830,3 +831,16 @@ def test_witness_e2e_reports_a_projector_it_cannot_build(
     ]
     details = checks[-1]["details"]
     assert details["counterexample"] is not None and details["error"]
+
+
+@pytest.mark.parametrize(
+    "alphabet, max_len",
+    [(FREE2, 6), (Alphabet("free", 3), 6), (SURF2, 4)],
+    ids=["free2", "free3", "surface2"],
+)
+@pytest.mark.parametrize("d", [2, 3])
+def test_count_d_primitive_words_matches_the_enumeration(alphabet, max_len, d):
+    primitive = d_primitive_predicate(d)
+    for length in range(max_len + 1):
+        expect = sum(map(primitive, reduced_words(alphabet, length)))
+        assert count_d_primitive_words(alphabet, length, d) == expect, length

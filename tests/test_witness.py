@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from coverhom import (
     Alphabet,
     GroupWord,
     InvalidConfig,
+    PropertyViolation,
     abelianization,
     assemble_witness_free,
     assemble_witness_surface,
@@ -33,7 +36,8 @@ from coverhom import (
     word_from_exponents,
 )
 from coverhom import witness
-from coverhom.witness import quat_power_poly, quat_sign
+from coverhom.algebra import truncate
+from coverhom.witness import quat_power_poly, quat_sign, sweep_words
 
 FREE2 = Alphabet("free", 2)
 SURF2 = Alphabet("surface", 2)
@@ -382,3 +386,123 @@ def test_verify_witness_guards_oversized_sweeps():
     assert bundle.exponent == 25
     with pytest.raises(InvalidConfig):
         verify_witness(bundle, exhaustive=False, samples=1)
+
+
+def test_sampled_sweep_stops_at_the_nonzero_classes():
+    # more samples than the 3^4 - 1 = 80 nonzero classes: the draw of
+    # distinct classes must stop at 80 rather than loop for ever
+    bundle = assemble_witness_surface(3, 2, 2)
+    rec = verify_witness(bundle, exhaustive=False, samples=100)
+    assert rec["classes"] == 80 and rec["samples"] == 100
+
+
+# ---------------------------------------------------------------------------
+# truncated sweeps
+
+
+@functools.cache
+def _bundle(name):
+    if name == "free":
+        return assemble_witness_free(3, 2, 1)
+    if name == "crt":
+        return crt_lift([assemble_witness_free(3, 2, 1), assemble_witness_free(5, 2, 1)])
+    return assemble_witness_surface(3, 2, 2)
+
+
+SWEEP = {"exhaustive": True, "samples": 60, "seed": 3}
+
+
+@pytest.mark.parametrize("name", ["free", "crt", "surface"])
+def test_sweep_images_are_the_full_images_truncated(name):
+    # e = r^k or 930 reads degree 1 only, so the sweep builds no more
+    bundle = _bundle(name)
+    top = bundle.sweep_top
+    assert top == 1
+    _, words = sweep_words(bundle, **SWEEP)
+    for word in words:
+        full = bundle.images(word)
+        cut = tuple(tuple(truncate(g, top) for g in comp) for comp in full)
+        assert bundle.images(word, top) == cut, word.render()
+
+
+@pytest.mark.parametrize("name", ["free", "crt", "surface"])
+def test_check_witness_word_with_and_without_a_memo(name):
+    bundle = _bundle(name)
+    memo = {}
+    _, words = sweep_words(bundle, **SWEEP)
+    for word in words:
+        psi = check_witness_word(bundle, word)
+        assert check_witness_word(bundle, word, memo) == psi
+        assert psi == bundle.expected_value(word.exponent_vector())
+    # at most one verdict per class mod d, however many random words
+    assert len(memo) <= bundle.modulus ** bundle.rank
+
+
+def _first_failure(bundle, words, memo=None):
+    for word in words:
+        try:
+            check_witness_word(bundle, word, memo)
+        except PropertyViolation:
+            return word.render()
+    return None
+
+
+def _assert_caught_at_the_first_word(mutant):
+    """The mutant fails, and at the same word of the sweep whether each
+    word is checked alone, through one memo, or by verify_witness."""
+    words = list(sweep_words(mutant, **SWEEP)[1])
+    first = _first_failure(mutant, words)
+    assert first is not None
+    assert _first_failure(mutant, words, {}) == first
+    with pytest.raises(PropertyViolation) as info:
+        verify_witness(mutant, **SWEEP)
+    assert info.value.counterexample == first
+
+
+@pytest.mark.parametrize(
+    "name, comp, factor, item",
+    [("free", 0, 0, 1), ("crt", 1, 0, 0), ("surface", 0, 0, 0), ("surface", 0, 2, 0)],
+    ids=["free", "crt", "surface-m", "surface-quat"],
+)
+def test_a_changed_character_weight_is_caught(name, comp, factor, item):
+    bundle = _bundle(name)
+    comps = list(bundle.components)
+    factors = list(comps[comp].factors)
+    chi = factors[factor].chi
+    items = list(chi.items)
+    mono, weight = items[item]
+    items[item] = (mono, weight % (chi.spec.r - 1) + 1)
+    factors[factor] = dataclasses.replace(
+        factors[factor], chi=dataclasses.replace(chi, items=tuple(items))
+    )
+    comps[comp] = dataclasses.replace(comps[comp], factors=tuple(factors))
+    _assert_caught_at_the_first_word(dataclasses.replace(bundle, components=tuple(comps)))
+
+
+def _doubled_linear_part(kind_images, index):
+    """``kind_images`` with the linear part of generator ``index`` doubled."""
+
+    @functools.cache
+    def images(spec):
+        imgs = list(kind_images(spec)[0])
+        imgs[index] = imgs[index] + imgs[index].graded_part(1)
+        return tuple(imgs), tuple(g.inverse_unit() for g in imgs)
+
+    return images
+
+
+@pytest.mark.parametrize(
+    "name, kind_images, index",
+    [
+        ("free", "_magnus_images", 1),
+        ("crt", "_magnus_images", 0),
+        ("surface", "_magnus_images", 3),
+        ("surface", "_quaternion_images", 0),
+    ],
+    ids=["free", "crt", "surface-m", "surface-quat"],
+)
+def test_a_changed_linear_coefficient_is_caught(monkeypatch, name, kind_images, index):
+    bundle = _bundle(name)
+    mutant = _doubled_linear_part(getattr(witness, kind_images), index)
+    monkeypatch.setattr(witness, kind_images, mutant)
+    _assert_caught_at_the_first_word(bundle)
