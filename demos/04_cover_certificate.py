@@ -1,10 +1,15 @@
 """The finite cover where 3-primitive homology is a proper subspace.
 
 Pipeline: take the sorted-algebra witness for F_2 at r = 3, k = 1, build
-the cover of the wedge of two circles attached to ker(rho), and average
-the deck action of the central slice C against a cyclotomic character:
+the cover of the wedge of two circles attached to ker(rho), read off its
+central slice C and the character psi as two tables (the central vertex
+ids and psi of each, mod 3), and average the deck action of C against
+the cyclotomic character:
 
     S = sum over c in C of omega^(-psi(c)) . deck(c)
+
+The projector and the certificate see only those tables, d and the
+exponent e; the algebra is read once, by central_slice.
 
 Every elevation class of a 3-primitive loop is fixed by a deck element
 whose cube lands in C outside ker(psi), which forces S to kill it; but S
@@ -19,6 +24,7 @@ from coverhom import (
     Alphabet,
     assemble_witness_free,
     build_cover,
+    central_slice,
     elevation_class,
     gaschutz_check,
     generator_word,
@@ -38,8 +44,10 @@ print(f"group discovered by closure: |G| = {cover.n_vertices} "
 gaschutz_check(cover)  # raises unless dim H1 and chi match the formulas
 print("dim H1 =", cover.dim_h1(), "=", f"1 + (2-1)*{cover.n_vertices}")
 
-proj = IsotypicProjector(cover, bundle)
-print("central slice |C| =", proj.central_order, "\n")
+central, psi = central_slice(cover, bundle)
+proj = IsotypicProjector(cover, central, psi, bundle.modulus)
+print("central slice |C| =", proj.central_order,
+      " psi on its first vertices:", psi[:6], "\n")
 
 word = generator_word(cover.alphabet, 0)
 m, vec = elevation_class(cover, word, 0)
@@ -49,7 +57,7 @@ image = proj.apply_int(vec)
 print("projector image of that class:", "zero" if not image else "nonzero")
 
 t0 = time.time()
-d = isotypic_projection_check(proj, seed=1)
+d = isotypic_projection_check(proj, bundle.exponent, seed=1)
 print(f"\nevery 3-primitive word killed, at every basepoint: all "
       f"{d['elements_certified']} elements off ker(alpha) certified; "
       f"projector nonzero on H1 (cycle {d['h1_witness_cycle']}) "

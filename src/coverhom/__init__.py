@@ -94,10 +94,10 @@ _COVERS_NAMES = frozenset((
     "FiniteQuotient",
     "IsotypicProjector",
     "PermImage",
-    "ProductImage",
     "ResidueImage",
     "UnitImage",
     "build_cover",
+    "central_slice",
     "d_primitive_predicate",
     "elevation_class",
     "gaschutz_check",

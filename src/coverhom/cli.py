@@ -222,7 +222,7 @@ def cmd_witness_e2e(args, report):
     report["config"] = {
         "r": args.r,
         "n": args.n,
-        "k": args.k,
+        "k": bundle.components[0].k,
         "variant": args.variant,
         "d": args.r,
         "max_word_len": args.max_word_len,
@@ -238,7 +238,7 @@ def cmd_witness_e2e(args, report):
     # follows
     t0 = time.perf_counter()
     try:
-        proj = covers.IsotypicProjector(cover, bundle)
+        proj = covers.IsotypicProjector(cover, *covers.central_slice(cover, bundle), bundle.modulus)
     except PropertyViolation as exc:
         details = {"error": str(exc), "counterexample": exc.counterexample}
         checks.append(_record("isotypic-invariants", "fail", details, time.perf_counter() - t0))
@@ -247,7 +247,7 @@ def cmd_witness_e2e(args, report):
         _timed(checks, "isotypic-invariants", covers.isotypic_invariants, proj,
                samples=3, seed=args.seed)
         projection = _timed(checks, "isotypic-projection", covers.isotypic_projection_check,
-                            proj, max_word_len=args.max_word_len, seed=args.seed)
+                            proj, bundle.exponent, max_word_len=args.max_word_len, seed=args.seed)
     if args.orbit_rank:
         rng = random.Random(args.seed)
         basepoints = [0] + [

@@ -15,19 +15,23 @@ edges, and in the surface case classes are taken modulo the rows of the
 independent 31-bit primes with agreement required and an exact Fraction
 elimination as the fallback.
 
-The subspace certificate: for a cover built from a witness bundle, the
-averaging operator pi = (1/|C|) sum_c omega^(-psi(c)) deck(c) over the
-central slice C kills the elevation class of every d-primitive word (the
-class is fixed by a deck element whose power lands in C off ker psi, and
-omega^psi(c) != 1 forces the projection to zero) while pi is nonzero on
-H_1, which contains the regular representation.  The kernel claim is
-certified for every word at every basepoint by one sweep of the Cayley
-graph: the exponent sums mod d of the tree words add e_i along each edge
-(v, i), and every vertex off their kernel has its e-th power in C off
-ker psi.  Cyclotomic arithmetic is exact, in the power basis of Z[omega]
-modulo the d-th cyclotomic polynomial.
+The subspace certificate: on a free cover, the averaging operator
+pi = (1/|C|) sum_c omega^(-psi(c)) deck(c) over a central slice C kills
+the elevation class of every d-primitive word (the class is fixed by a
+deck element whose power lands in C off ker psi, and omega^psi(c) != 1
+forces the projection to zero) while pi is nonzero on H_1, which
+contains the regular representation.  The projector takes C and psi as
+tables, the central vertex ids and psi of each mod d; for a cover built
+from a witness bundle, ``central_slice`` reads them off the factor units,
+and nothing else in the certificate reads the algebra.  The kernel claim
+is certified for every word at every basepoint by one sweep of the
+Cayley graph: the exponent sums mod d of the tree words add e_i along
+each edge (v, i), and every vertex off their kernel has its e-th power
+in C off ker psi.  Cyclotomic arithmetic is exact, in the power basis of
+Z[omega] modulo the d-th cyclotomic polynomial.
 """
 
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,47 +109,27 @@ class ResidueImage:
 
 
 class UnitImage:
-    """Unit of a truncated algebra, hashed by its canonical term list."""
+    """Tuple of units of truncated algebras, one per factor, multiplied
+    componentwise and hashed by their canonical term lists."""
 
-    __slots__ = ("elem",)
+    __slots__ = ("units",)
 
-    def __init__(self, elem: AlgElement):
-        if not elem.is_unit_element():
+    def __init__(self, units):
+        self.units = tuple(units)
+        if not all(map(AlgElement.is_unit_element, self.units)):
             raise InvalidConfig("cover images must be units with degree-0 part 1")
-        self.elem = elem
 
     def mul(self, other):
-        return UnitImage(self.elem * other.elem)
+        return UnitImage(map(operator.mul, self.units, other.units))
 
     def inverse(self):
-        return UnitImage(self.elem.inverse_unit())
+        return UnitImage(map(AlgElement.inverse_unit, self.units))
 
     def identity_like(self):
-        return UnitImage(AlgElement.one(self.elem.spec))
+        return UnitImage(AlgElement.one(g.spec) for g in self.units)
 
     def key(self):
-        return self.elem.canonical_key()
-
-
-class ProductImage:
-    """Tuple of images multiplied componentwise."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def mul(self, other):
-        return ProductImage(tuple(a.mul(b) for a, b in zip(self.parts, other.parts)))
-
-    def inverse(self):
-        return ProductImage(tuple(p.inverse() for p in self.parts))
-
-    def identity_like(self):
-        return ProductImage(tuple(p.identity_like() for p in self.parts))
-
-    def key(self):
-        return tuple(p.key() for p in self.parts)
+        return tuple(map(AlgElement.canonical_key, self.units))
 
 
 @dataclass
@@ -191,14 +175,23 @@ class FiniteQuotient:
 
 def quotient_from_bundle(bundle: WitnessBundle) -> FiniteQuotient:
     """The quotient rho: generators map to the tuple of factor images."""
-    imgs = []
-    for i in range(bundle.alphabet.ngens):
-        word = generator_word(bundle.alphabet, i)
-        parts = [
-            UnitImage(g) for comp in bundle.images(word) for g in comp
-        ]
-        imgs.append(parts[0] if len(parts) == 1 else ProductImage(parts))
-    return FiniteQuotient(bundle.alphabet, tuple(imgs))
+    words = (generator_word(bundle.alphabet, i) for i in range(bundle.alphabet.ngens))
+    images = [UnitImage(g for comp in bundle.images(w) for g in comp) for w in words]
+    return FiniteQuotient(bundle.alphabet, images)
+
+
+def central_slice(cover, bundle: WitnessBundle):
+    """(central, psi) for a cover built by :func:`quotient_from_bundle`:
+    the vertices whose factor units are all central, and psi of each,
+    mod d.  The one place the certificate reads the algebra."""
+    central, psi = [], []
+    for v, elem in enumerate(cover.elements):
+        if all(in_central_subgroup(g) for g in elem.units):
+            units = iter(elem.units)
+            nested = tuple(tuple(next(units) for _ in comp.factors) for comp in bundle.components)
+            central.append(v)
+            psi.append(bundle.psi_of_centrals(nested))
+    return central, psi
 
 
 def _json_ints(value, what):
@@ -251,7 +244,7 @@ def quotient_from_json(data) -> FiniteQuotient:
         )
         for e in raw:
             _json_field(e, "monomials", list, "a unit image")
-        images = [UnitImage(AlgElement.from_dict(spec, e)) for e in raw]
+        images = [UnitImage((AlgElement.from_dict(spec, e),)) for e in raw]
         sizes = set()
     else:
         raise InvalidConfig(f"unknown image type {itype!r}")
@@ -870,23 +863,25 @@ def omega_powers(d: int):
 
 
 class IsotypicProjector:
-    """The operator P = sum_c omega^(-psi(c)) deck(c) over the central
-    slice C of a cover built from a witness bundle (the 1/|C|
-    normalisation is irrelevant for kernel and image questions and is
-    kept out to stay in Z[omega]).
+    """The operator P = sum_c omega^(-psi(c)) deck(c) over a central slice
+    C of a free cover (the 1/|C| normalisation is irrelevant for kernel
+    and image questions and is kept out to stay in Z[omega]).  It is
+    given as tables: the vertices of C, psi of each mod d, and d; for a
+    witness cover :func:`central_slice` reads them off the algebra.
 
-    C is central and acts freely on the vertices, so every vertex is
-    u = c_u r_O, with c_u in C and r_O the least vertex of u's C-orbit O,
-    and deck(c) moves edge (y, i) to (c y, i).  Hence
+    C acts freely on the vertices by left multiplication, so every vertex
+    is u = c_u r_O, with c_u in C and r_O the least vertex of u's C-orbit
+    O, and deck(c) moves edge (y, i) to (c y, i).  Hence
 
         (Pv)(u, i) = omega^(-psi(c_u)) S(O, i),
         S(O, i) = sum over y in O of omega^(psi(c_y)) v(y, i),
 
     one sum per orbit and letter instead of a |C|-fold scatter.  Both
     facts it rests on are certified at construction, each raising
-    PropertyViolation: psi(c c') = psi(c) + psi(c') on C, and the
-    C-orbits partition the vertices with |C| points each.  Pv is zero
-    exactly when every S(O, i) is, since omega^(-psi) is a unit.
+    PropertyViolation: psi(c c') = psi(c) + psi(c') mod d on C (so C is
+    closed and each psi value lies in 0..d-1), and the C-orbits partition
+    the vertices with |C| points each.  Pv is zero exactly when every
+    S(O, i) is, since omega^(-psi) is a unit.
 
     Vectors are sparse dicts edge id -> coefficient: an int for
     ``apply_int``, a power-basis tuple for ``apply_cyc``.  Each S(O, i) is
@@ -900,51 +895,33 @@ class IsotypicProjector:
     A bound of 2^63 or more raises TooLarge; below it every result is
     exact."""
 
-    def __init__(self, cover: CoverComplex, bundle: WitnessBundle):
+    def __init__(self, cover: CoverComplex, central, psi, d: int):
         if cover.alphabet.kind != "free":
             # is_zero_in_h1 reads a cycle as zero in H_1 only when it is the
             # zero vector, which is sound only without 2-cells
             raise InvalidConfig("the isotypic projector needs the cover of a free group")
+        if not central or len(psi) != len(central):
+            raise InvalidConfig(
+                f"need one psi value per central vertex, got {len(psi)} for {len(central)}"
+            )
         self.cover = cover
-        self.bundle = bundle
-        self.d = bundle.modulus
-        self.shape = [len(comp.factors) for comp in bundle.components]
-        central = []
-        for v, elem in enumerate(cover.elements):
-            parts = self._parts(elem)
-            if all(in_central_subgroup(g) for g in parts):
-                central.append(v)
-        self.central_vertices = central
-        self.psi_values = [
-            self._psi(self._parts(cover.elements[v])) for v in central
-        ]
+        self.d = d
+        self.central_vertices = list(central)
         # (|C|, V): vertex permutation of each central deck element, checked
         # to be the deck map it stands for; only the orbit tables are kept
         perms = np.array([cover.deck_perm(v) for v in central], dtype=np.int64)
         cover.check_deck_perms(central, perms)
-        psi = np.array(self.psi_values, dtype=np.int64)
+        psi = np.array(psi, dtype=np.int64)
         self._check_additive(perms, psi)
         # orbit and phase psi(c_u) of each vertex u; members[O, n] = c_n r_O
         self.orbit, self.phase, self.members = _central_orbits(perms, psi)
-        powers = omega_powers(self.d)
+        powers = omega_powers(d)
         self.deg = len(powers[0])
         # (d, deg): row t is omega^t in the power basis
         self.basis = np.array(powers, dtype=np.int64)
         self._entry_bound = (
             len(central) * self.deg * max(abs(x) for rep in powers for x in rep)
         )
-
-    def _parts(self, elem):
-        flat = elem.parts if isinstance(elem, ProductImage) else (elem,)
-        return tuple(p.elem for p in flat)
-
-    def _psi(self, parts):
-        nested = []
-        at = 0
-        for width in self.shape:
-            nested.append(tuple(parts[at : at + width]))
-            at += width
-        return self.bundle.psi_of_centrals(tuple(nested))
 
     def _check_additive(self, perms, psi):
         """Raise PropertyViolation naming central vertices a, b whose
@@ -1055,6 +1032,7 @@ def _tree_words(cover: CoverComplex) -> np.ndarray:
 
 def isotypic_projection_check(
     proj: IsotypicProjector,
+    exponent: int,
     max_word_len: int = 6,
     seed: int = 0,
 ) -> dict:
@@ -1075,7 +1053,7 @@ def isotypic_projection_check(
         of w mod d, and the images of the d-primitive words are the
         vertices off ker alpha;
     (b) every vertex g off ker alpha has g^e in C, the C-orbit of vertex 0,
-        with phase psi(g^e) != 0.
+        with phase psi(g^e) != 0, for the given ``exponent`` e.
 
     The powers are taken by square-and-multiply on all those vertices at
     once, a product x y being the tree word of y walked from x.  Last, (c)
@@ -1104,7 +1082,7 @@ def isotypic_projection_check(
         return x
 
     primitive = np.flatnonzero(alpha.any(axis=1))
-    power, base, e = np.zeros_like(primitive), primitive, proj.bundle.exponent
+    power, base, e = np.zeros_like(primitive), primitive, exponent
     while e:
         if e & 1:
             power = mul(power, base)

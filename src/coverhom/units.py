@@ -21,7 +21,15 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgElement, AlgebraSpec, monomial_ok, power, random_element, symbol
+from .algebra import (
+    AlgElement,
+    AlgebraSpec,
+    count_basis_monomials,
+    monomial_ok,
+    power,
+    random_element,
+    symbol,
+)
 from .errors import (
     InvalidConfig,
     NotInC,
@@ -171,6 +179,22 @@ def linear_class_units(spec: AlgebraSpec):
         yield vec, g
 
 
+# Algebras with more basis monomials than this are refused before anything
+# is powered: powers go dense in the truncation and would exhaust memory.
+MONOMIAL_GUARD = 10 ** 6
+
+
+def check_monomial_guard(spec: AlgebraSpec):
+    """Raise InvalidConfig if ``spec`` has more than ``MONOMIAL_GUARD`` basis monomials."""
+    size = count_basis_monomials(spec)
+    if size > MONOMIAL_GUARD:
+        raise InvalidConfig(
+            f"factor algebra has {size} basis monomials, beyond the sweep guard "
+            f"{MONOMIAL_GUARD}; this parameter size is constructible but not "
+            "verifiable by dense powering"
+        )
+
+
 def verify_power_character(
     spec: AlgebraSpec,
     poly: Poly,
@@ -183,8 +207,10 @@ def verify_power_character(
     Walks one representative per linear class, which suffices because
     r^k-th powers depend only on the linear part (the freshman's-dream
     invariant, itself property-tested), then ``samples`` random sparse
-    units.  Raises PropertyViolation with the offending unit on failure.
+    units.  Raises PropertyViolation with the offending unit on failure,
+    and InvalidConfig, before any power, past ``MONOMIAL_GUARD``.
     """
+    check_monomial_guard(spec)
     chi = character_from_poly(spec, poly)
     e = spec.cap
     tested = 0

@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 from .algebra import (
     AlgElement,
     AlgebraSpec,
-    count_basis_monomials,
     free_spec,
     m_spec,
     one,
@@ -54,6 +53,7 @@ from .units import (
     CentralCharacter,
     abelianization,
     character_from_poly,
+    check_monomial_guard,
     in_central_subgroup,
 )
 
@@ -649,9 +649,6 @@ def check_witness_word(bundle: WitnessBundle, word: GroupWord, memo=None) -> int
 
 # At most this many classes are swept exhaustively; beyond it they are sampled.
 CLASS_CAP = 10000
-# Word-algebra factors with more basis monomials than this are refused:
-# powers go dense in the truncation and would exhaust memory.
-MONOMIAL_GUARD = 10 ** 6
 
 
 def sweep_words(
@@ -696,23 +693,17 @@ def verify_witness(
 ) -> dict:
     """Walk abelianisation classes via representative positive words, then
     random words (:func:`sweep_words`).  Exhaustive when d^rank is at most
-    ``CLASS_CAP``, else sampled.  Factors beyond ``MONOMIAL_GUARD`` basis
-    monomials are refused.  One memo serves the whole sweep, so each
-    distinct truncated image is raised to the e-th power once.  When the
-    power reads only degree 1, as for e = r^k, the truncated images are
-    fixed by the class mod d, so the sweep takes at most d^rank powers per
-    factor however many random words it checks.
+    ``CLASS_CAP``, else sampled.  Word-algebra factors beyond
+    ``units.MONOMIAL_GUARD`` basis monomials are refused.  One memo serves
+    the whole sweep, so each distinct truncated image is raised to the
+    e-th power once.  When the power reads only degree 1, as for e = r^k,
+    the truncated images are fixed by the class mod d, so the sweep takes
+    at most d^rank powers per factor however many random words it checks.
     """
     for comp in bundle.components:
         for f in comp.factors:
             if isinstance(f, MagnusFactor):
-                size = count_basis_monomials(f.spec)
-                if size > MONOMIAL_GUARD:
-                    raise InvalidConfig(
-                        f"factor algebra has {size} basis monomials, beyond the "
-                        f"sweep guard {MONOMIAL_GUARD}; this parameter size is "
-                        "constructible but not verifiable by dense powering"
-                    )
+                check_monomial_guard(f.spec)
     classes, words = sweep_words(bundle, exhaustive, samples, seed, sample_len)
     memo = {}
     for word in words:

@@ -15,6 +15,7 @@ from coverhom import (
     assemble_witness_surface,
     build_cover,
     build_nonvanishing,
+    central_slice,
     crt_lift,
     free_spec,
     gaschutz_check,
@@ -151,7 +152,8 @@ def test_criterion_07_end_to_end_small_witness(sorted_witness_bundle, sorted_wit
     order = cover.n_vertices
     assert cover.dim_h1() == 1 + (2 - 1) * order  # the free-cover module formula
     rec = isotypic_projection_check(
-        IsotypicProjector(cover, sorted_witness_bundle),
+        IsotypicProjector(cover, *central_slice(cover, sorted_witness_bundle), 3),
+        sorted_witness_bundle.exponent,
         max_word_len=6,
         seed=17,
     )

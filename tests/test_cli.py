@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,29 @@ def test_error_record_takes_the_check_name(capsys):
     assert code == 2
     last = json.loads(out)["checks"][-1]
     assert (last["name"], last["status"]) == ("witness-surface", "error")
+
+
+def test_power_guard_trips_before_anything_is_powered(tmp_path):
+    # the full algebra at r = 3, n = 2, k = 3 has 2^28 - 1 basis monomials;
+    # power-character stops at the guard instead of powering in it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverhom", "verify-free", "--r", "3", "--n", "2", "--k", "3"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 2
+    last = json.loads(proc.stdout)["checks"][-1]
+    assert (last["name"], last["status"]) == ("power-character-free", "error")
+    assert "268435455 basis monomials" in last["details"]["error"]
+
+
+def test_witness_e2e_reports_the_resolved_k(capsys):
+    # --k omitted: the report gives the k the witness was built with
+    code, out = _run(capsys, "witness-e2e", "--r", "2", "--n", "2", "--max-word-len", "2")
+    assert code == 0
+    assert json.loads(out)["config"]["k"] == 1
 
 
 def test_guard_outside_a_check_still_reports(capsys):

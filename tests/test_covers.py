@@ -19,10 +19,12 @@ from coverhom import (
     UnitImage,
     assemble_witness_free,
     build_cover,
+    central_slice,
     d_primitive_predicate,
     elevation_class,
     free_spec,
     gaschutz_check,
+    in_central_subgroup,
     isotypic_invariants,
     isotypic_projection_check,
     nonkernel_predicate,
@@ -49,6 +51,11 @@ from coverhom.covers import (
 
 FREE2 = Alphabet("free", 2)
 SURF2 = Alphabet("surface", 2)
+
+
+def _projector(cover, bundle):
+    """The projector of a witness cover, on the tables read off its units."""
+    return IsotypicProjector(cover, *central_slice(cover, bundle), bundle.modulus)
 
 
 def _z3_free_cover():
@@ -425,7 +432,7 @@ def test_projector_refuses_a_permutation_that_is_not_a_deck_map(
     cover = sorted_witness_cover
     _break_deck_perm(monkeypatch, cover, fault)
     with pytest.raises(PropertyViolation) as exc:
-        IsotypicProjector(cover, sorted_witness_bundle)
+        _projector(cover, sorted_witness_bundle)
     # the identity is the first central vertex
     assert exc.value.counterexample == 0 and "deck_perm(0)" in str(exc.value)
 
@@ -534,27 +541,55 @@ def test_witness_cover_group_order(sorted_witness_cover):
 def test_unit_image_quotient_rejects_non_units():
     spec = free_spec(3, 1, 2)
     with pytest.raises(InvalidConfig):
-        UnitImage(symbol(spec, 0))
-    UnitImage(one(spec))
+        UnitImage((symbol(spec, 0),))
+    with pytest.raises(InvalidConfig):
+        UnitImage((one(spec), symbol(spec, 0)))
+    UnitImage((one(spec), one(spec)))
 
 
 def test_isotypic_certificate_small(sorted_witness_bundle, sorted_witness_cover):
-    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
-    rec = isotypic_projection_check(proj, max_word_len=3, seed=1)
+    proj = _projector(sorted_witness_cover, sorted_witness_bundle)
+    rec = isotypic_projection_check(proj, sorted_witness_bundle.exponent, max_word_len=3, seed=1)
     assert rec["central_order"] == 81
     assert rec["elements_certified"] == 2187 - 243
     assert rec["h1_witness_cycle"] is not None
 
 
-def test_projector_refuses_a_surface_cover(sorted_witness_bundle):
+def test_projector_refuses_a_surface_cover():
     # its zero test reads a cycle as zero in H_1 only if it is the zero
     # vector, which a surface cover's boundaries would make unsound
     with pytest.raises(InvalidConfig):
-        IsotypicProjector(_s5_surface_cover(), sorted_witness_bundle)
+        IsotypicProjector(_s5_surface_cover(), [0], [0], 3)
+
+
+def test_central_slice_of_a_two_component_bundle():
+    # the r = 2 sorted and full witnesses as the components of one bundle,
+    # weights (1, 0): each vertex holds one unit per factor
+    sorted_, full = (assemble_witness_free(2, 2, None, v) for v in ("sorted", "full"))
+    bundle = dataclasses.replace(sorted_, components=(
+        dataclasses.replace(sorted_.components[0], q=1),
+        dataclasses.replace(full.components[0], q=0),
+    ))
+    cover = build_cover(quotient_from_bundle(bundle))
+    central, psi = central_slice(cover, bundle)
+    assert cover.n_vertices == 32 and len(central) == 8
+    assert psi == [0, 1, 1, 0, 1, 0, 0, 1]
+    (sfac,), (ffac,) = (comp.factors for comp in bundle.components)
+    for v, elem in enumerate(cover.elements):
+        s, f = elem.units
+        assert (s.spec, f.spec) == (sfac.spec, ffac.spec)
+        assert (v in central) == (in_central_subgroup(s) and in_central_subgroup(f))
+        if v in central:
+            # full weighs 0, so psi is the sorted factor's character alone
+            value = psi[central.index(v)]
+            assert value == sfac.chi_value(s) == bundle.psi_of_centrals(((s,), (f,)))
+    proj = IsotypicProjector(cover, central, psi, bundle.modulus)
+    assert proj.central_order == 8
+    assert isotypic_projection_check(proj, bundle.exponent)["elements_certified"] == 24
 
 
 def test_isotypic_invariants(sorted_witness_bundle, sorted_witness_cover):
-    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    proj = _projector(sorted_witness_cover, sorted_witness_bundle)
     assert isotypic_invariants(proj, samples=4, seed=3) == {"samples": 4}
 
 
@@ -565,6 +600,8 @@ def _reference_projector(proj):
     powers = omega_powers(d)
     zero = (0,) * deg
     perms = [proj.cover.deck_perm(v) for v in proj.central_vertices]
+    # vertex c = c * 0 of C has phase psi(c)
+    psi = proj.phase[proj.central_vertices]
 
     def add(a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -581,7 +618,7 @@ def _reference_projector(proj):
 
     def apply_int(vec):
         out = {}
-        for perm, t in zip(perms, proj.psi_values):
+        for perm, t in zip(perms, psi):
             for eid, c in vec.items():
                 nid = int(perm[eid // g]) * g + eid % g
                 out[nid] = add(out.get(nid, zero), scale(powers[(-t) % d], c))
@@ -589,7 +626,7 @@ def _reference_projector(proj):
 
     def apply_cyc(vec):
         out = {}
-        for perm, t in zip(perms, proj.psi_values):
+        for perm, t in zip(perms, psi):
             for eid, val in vec.items():
                 nid = int(perm[eid // g]) * g + eid % g
                 out[nid] = add(out.get(nid, zero), mul_omega_power(val, (-t) % d))
@@ -607,7 +644,7 @@ def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witnes
         (full, build_cover(quotient_from_bundle(full))),
         (r2, build_cover(quotient_from_bundle(r2))),
     ):
-        proj = IsotypicProjector(cover, bundle)
+        proj = _projector(cover, bundle)
         ref_int, ref_cyc = _reference_projector(proj)
         rng = random.Random(2304)
         for _ in range(10):
@@ -624,7 +661,7 @@ def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witnes
 
 
 def test_projector_int64_bound(sorted_witness_bundle, sorted_witness_cover):
-    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    proj = _projector(sorted_witness_cover, sorted_witness_bundle)
     ref_int, ref_cyc = _reference_projector(proj)
     # |C| * deg * max|omega rep| = 81 * 2 * 1: the largest safe coefficient
     safe = (2 ** 63 - 1) // 162
@@ -683,30 +720,30 @@ def test_quotient_from_json_refuses_fractional_coefficients():
 
 
 def test_projector_refuses_a_psi_that_is_not_additive(
-    monkeypatch, sorted_witness_bundle, sorted_witness_cover
+    sorted_witness_bundle, sorted_witness_cover
 ):
-    psi = IsotypicProjector._psi
-    monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: (psi(self, parts) + 1) % 3)
+    central, psi = central_slice(sorted_witness_cover, sorted_witness_bundle)
+    shifted = [(p + 1) % 3 for p in psi]
     with pytest.raises(PropertyViolation, match="not additive") as exc:
-        IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+        IsotypicProjector(sorted_witness_cover, central, shifted, 3)
     # psi(1) = 1 != psi(1) + psi(1)
     assert exc.value.counterexample == (0, 0)
 
 
 def test_projector_refuses_a_slice_that_is_not_closed(
-    monkeypatch, sorted_witness_bundle, sorted_witness_cover
+    sorted_witness_bundle, sorted_witness_cover
 ):
     # vertex 1, a generator image, joins C with psi = 0: its products leave C
-    cover = sorted_witness_cover
-    extra = {id(g) for g in IsotypicProjector._parts(None, cover.elements[1])}
-    central, psi = covers.in_central_subgroup, IsotypicProjector._psi
-    monkeypatch.setattr(covers, "in_central_subgroup", lambda g: id(g) in extra or central(g))
-    monkeypatch.setattr(
-        IsotypicProjector, "_psi",
-        lambda self, parts: 0 if id(parts[0]) in extra else psi(self, parts),
-    )
+    central, psi = central_slice(sorted_witness_cover, sorted_witness_bundle)
     with pytest.raises(PropertyViolation, match="not additive"):
-        IsotypicProjector(cover, sorted_witness_bundle)
+        IsotypicProjector(sorted_witness_cover, central + [1], psi + [0], 3)
+
+
+def test_projector_refuses_tables_that_do_not_match(sorted_witness_cover):
+    with pytest.raises(InvalidConfig, match="one psi value per central vertex"):
+        IsotypicProjector(sorted_witness_cover, [0, 1], [0], 3)
+    with pytest.raises(InvalidConfig, match="one psi value per central vertex"):
+        IsotypicProjector(sorted_witness_cover, [], [], 3)
 
 
 def test_central_orbits_refuse_an_action_that_is_not_free():
@@ -738,8 +775,8 @@ def test_group_sweep_agrees_with_the_reference_on_short_words(
         (full, build_cover(quotient_from_bundle(full))),
         (r2, build_cover(quotient_from_bundle(r2))),
     ):
-        proj = IsotypicProjector(cover, bundle)
-        rec = isotypic_projection_check(proj, max_word_len=3)
+        proj = _projector(cover, bundle)
+        rec = isotypic_projection_check(proj, bundle.exponent, max_word_len=3)
         # every d-primitive word is certified, so the slow path kills each
         # short one at any basepoint
         ref_int, _ = _reference_projector(proj)
@@ -764,7 +801,7 @@ def test_group_sweep_reads_the_power_off_the_tables(
     sorted_witness_bundle, sorted_witness_cover, table
 ):
     cover = sorted_witness_cover
-    proj = IsotypicProjector(cover, sorted_witness_bundle)
+    proj = _projector(cover, sorted_witness_bundle)
     # c = x1^3, the cube of vertex 1, loses its phase or leaves C
     c = 0
     for _ in range(sorted_witness_bundle.exponent):
@@ -774,37 +811,36 @@ def test_group_sweep_reads_the_power_off_the_tables(
     values[c] = 0 if table == "phase" else proj.orbit[1]
     setattr(proj, table, values)
     with pytest.raises(PropertyViolation, match="not in C off ker psi") as exc:
-        isotypic_projection_check(proj, max_word_len=2)
+        isotypic_projection_check(proj, sorted_witness_bundle.exponent, max_word_len=2)
     assert exc.value.counterexample == GroupWord(FREE2, (1,)).render()
 
 
 def test_group_sweep_refuses_a_wrong_exponent(sorted_witness_bundle, sorted_witness_cover):
-    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
-    proj.bundle = dataclasses.replace(proj.bundle, exponent=proj.bundle.exponent + 1)
+    proj = _projector(sorted_witness_cover, sorted_witness_bundle)
     with pytest.raises(PropertyViolation, match="not in C off ker psi"):
-        isotypic_projection_check(proj, max_word_len=2)
+        isotypic_projection_check(proj, sorted_witness_bundle.exponent + 1, max_word_len=2)
 
 
 def test_group_sweep_refuses_a_redirected_edge(sorted_witness_bundle, sorted_witness_cover):
-    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    proj = _projector(sorted_witness_cover, sorted_witness_bundle)
     v, i = sorted_witness_cover.nontree[100]
     targets = sorted_witness_cover.targets.copy()
     targets[v, i] = targets[v, 1 - i]
     proj.cover = dataclasses.replace(sorted_witness_cover, targets=targets)
     with pytest.raises(PropertyViolation, match="does not add") as exc:
-        isotypic_projection_check(proj, max_word_len=2)
+        isotypic_projection_check(proj, sorted_witness_bundle.exponent, max_word_len=2)
     assert exc.value.counterexample == (v, i)
 
 
 def test_group_sweep_names_the_first_vertex_off_ker_alpha(
-    monkeypatch, sorted_witness_bundle, sorted_witness_cover
+    sorted_witness_bundle, sorted_witness_cover
 ):
     # psi = 0 averages over C, which kills no d-primitive class; vertex 1,
     # the image of x1, is the first vertex the sweep certifies
-    monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: 0)
-    proj = IsotypicProjector(sorted_witness_cover, sorted_witness_bundle)
+    central, _ = central_slice(sorted_witness_cover, sorted_witness_bundle)
+    proj = IsotypicProjector(sorted_witness_cover, central, [0] * len(central), 3)
     with pytest.raises(PropertyViolation) as exc:
-        isotypic_projection_check(proj, max_word_len=3)
+        isotypic_projection_check(proj, sorted_witness_bundle.exponent, max_word_len=3)
     word = _tree_word(sorted_witness_cover, 1).render()
     assert str(exc.value) == f"the e-th power of vertex 1 = theta({word}) is not in C off ker psi"
     assert exc.value.counterexample == word == GroupWord(FREE2, (1,)).render()
@@ -819,8 +855,13 @@ def test_witness_e2e_reports_a_projector_it_cannot_build(
         _break_deck_perm(monkeypatch, cover, "swap")
         monkeypatch.setattr(covers, "build_cover", lambda quotient, guard_vertices: cover)
     else:
-        psi = IsotypicProjector._psi
-        monkeypatch.setattr(IsotypicProjector, "_psi", lambda self, parts: psi(self, parts) + 1)
+        read = covers.central_slice
+
+        def shifted(cover, bundle):  # psi + 1, which is not additive
+            central, psi = read(cover, bundle)
+            return central, [(p + 1) % 3 for p in psi]
+
+        monkeypatch.setattr(covers, "central_slice", shifted)
     code = cli.main(
         ["witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2"]
     )
