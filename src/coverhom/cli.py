@@ -15,10 +15,13 @@ or ``error``).
 Only ``cover-report`` and ``witness-e2e`` build a cover, so only they
 import ``covers`` (and with it numpy).  They look its functions up on the
 module at call time, so a patch of ``covers.build_cover`` reaches them.
+``main`` sets ``OPENBLAS_NUM_THREADS=1`` unless it is set already, so
+numpy imports without a BLAS thread pool that ``covers`` would never use.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -249,10 +252,11 @@ def cmd_witness_e2e(args, report):
         projection = _timed(checks, "isotypic-projection", covers.isotypic_projection_check,
                             proj, bundle.exponent, max_word_len=args.max_word_len, seed=args.seed)
     if args.orbit_rank:
+        # distinct draws in order: a repeated basepoint only repeats rows
         rng = random.Random(args.seed)
-        basepoints = [0] + [
+        basepoints = list(dict.fromkeys([0] + [
             rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
-        ]
+        ]))
         _timed(checks, "orbit-span", orbit_rank, cover, covers.d_primitive_predicate(args.r),
                args.orbit_word_len, args.seed, args.guard_dim, vertices=basepoints,
                require_proper=True, basepoints=len(basepoints))
@@ -404,6 +408,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a thread pool on import, and covers never
+    # calls BLAS (its one matrix product is int64); a value set by the
+    # user is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     report = {"schema": SCHEMA, "command": args.command, "config": {}, "checks": []}
     checks, stop = report["checks"], None

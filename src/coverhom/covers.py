@@ -734,21 +734,26 @@ def _stack_walks(walks):
 
 
 def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
-    """The distinct nonzero rows, in fundamental-cycle coordinates, of the
+    """The nonzero rows, in fundamental-cycle coordinates, of the
     elevation classes of every freely reduced word of length <= max_len
     passing the predicate, based at every given vertex (all of them when
-    None).
+    None).  Rows are distinct up to sign, each with a positive first
+    entry: a row and its negative span the same line.
 
-    Each word is walked once, at vertex 0.  Its elevation at b is the deck
-    translate of that walk by deck_perm(b), which maps edge (v, i) to
-    (perm[v], i).  That holds exactly when the permutation commutes with
-    the edge map and sends 0 to b, which is checked for every b."""
+    One word of each inverse pair is walked, once, at vertex 0: a word is
+    skipped when its inverse has passed and been walked, since at any
+    basepoint the lift of w^-m is the loop of w^m walked backwards, whose
+    row is the negative of w's.  The elevation at b is the deck translate
+    of the walk by deck_perm(b), which maps edge (v, i) to (perm[v], i).
+    That holds exactly when the permutation commutes with the edge map and
+    sends 0 to b, which is checked for every b."""
     if basepoints is None:
         basepoints = range(cover.n_vertices)
     basepoints = np.fromiter(basepoints, dtype=np.int64)
-    walks = []
+    walks, walked = [], set()
     for word in reduced_words(cover.alphabet, max_len):
-        if predicate(word):
+        if word.inverse().letters not in walked and predicate(word):
+            walked.add(word.letters)
             _, vec = elevation_class(cover, word, 0)
             if vec:
                 walks.append(vec)
@@ -767,12 +772,14 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
         cover.check_deck_perms(bases, perms)
         # one row per (basepoint, walk): (position, coefficient) pairs sorted
         # by the cycle position of the translated edge; tree edges and
-        # padding sort last and are cut off at the row's size
+        # padding sort last and are cut off at the row's size.  Each row is
+        # signed so that its first coefficient is positive.
         pos = cover.nontree_pos[perms[:, verts] * g + letters]
         pos[:, pad] = tree
         order = np.argsort(pos, axis=2, kind="stable")
         pos = np.take_along_axis(pos, order, axis=2)
         vals = np.take_along_axis(np.broadcast_to(coeffs, pos.shape), order, axis=2)
+        vals *= np.sign(vals[:, :, :1])
         grid = np.stack((pos, vals), axis=3).reshape(-1, 2 * width)
         sizes = np.count_nonzero(pos != tree, axis=2).ravel().tolist()
         raw, stride = grid.tobytes(), grid.strides[0]

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coverhom import covers
+from coverhom import assemble_witness_free, covers
 from coverhom.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +197,33 @@ def test_witness_e2e_reports_the_resolved_k(capsys):
     code, out = _run(capsys, "witness-e2e", "--r", "2", "--n", "2", "--max-word-len", "2")
     assert code == 0
     assert json.loads(out)["config"]["k"] == 1
+
+
+def test_witness_e2e_reports_distinct_basepoints(capsys):
+    # 50 draws on a 32-vertex cover repeat some vertices; the report counts
+    # each basepoint once, and the rank is that of all 50 draws
+    code, out = _run(capsys, "witness-e2e", "--r", "2", "--n", "2", "--max-word-len", "2",
+                     "--orbit-rank", "--orbit-basepoints", "50")
+    assert code == 0
+    orbit = {c["name"]: c for c in json.loads(out)["checks"]}["orbit-span"]["details"]
+    rng = random.Random(0)
+    draws = [0] + [rng.randrange(32) for _ in range(49)]
+    assert orbit["basepoints"] == len(set(draws)) < 32
+    cover = covers.build_cover(covers.quotient_from_bundle(
+        assemble_witness_free(2, 2, None, "sorted")))
+    rank, _ = covers.orbit_span_rank(cover, covers.d_primitive_predicate(2), 5, draws)
+    assert orbit["rank"] == rank
+
+
+def test_main_starts_openblas_single_threaded(monkeypatch, capsys):
+    # covers never calls BLAS, so its thread pool is not started; a value
+    # the user set is kept
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert _run(capsys, "nvpoly", "--r", "3", "--n", "2")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert _run(capsys, "nvpoly", "--r", "3", "--n", "2")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_guard_outside_a_check_still_reports(capsys):

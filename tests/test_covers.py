@@ -367,9 +367,18 @@ def test_rank_mod_p_matches_the_column_kernel(monkeypatch, budget):
     assert _rank_mod_p([{}, {}], 0, 3) == _reference_rank_mod_p([{}, {}], 0, 3) == 0
 
 
+def _signed_key(row):
+    """A row's sorted (position, coefficient) pairs, negated if needed so
+    that the first coefficient is positive: one key per line of rows."""
+    pairs = sorted(row.items())
+    sign = 1 if pairs[0][1] > 0 else -1
+    return tuple((j, sign * c) for j, c in pairs)
+
+
 def _reference_orbit_rows(cover, predicate, max_len, basepoints):
     """The per-basepoint loop orbit_rows replaced, kept as an oracle: every
-    word is walked from every basepoint."""
+    word that passes is walked from every basepoint, and rows are compared
+    up to sign."""
     rows = set()
     for word in reduced_words(cover.alphabet, max_len):
         if predicate(word):
@@ -377,13 +386,14 @@ def _reference_orbit_rows(cover, predicate, max_len, basepoints):
                 _, vec = elevation_class(cover, word, b)
                 row = cover.restrict_to_cycles(vec)
                 if row:
-                    rows.add(tuple(sorted(row.items())))
+                    rows.add(_signed_key(row))
     return rows
 
 
 def _row_set(rows):
-    keys = {tuple(sorted(row.items())) for row in rows}
-    assert len(keys) == len(rows)  # no row twice
+    keys = {_signed_key(row) for row in rows}
+    assert len(keys) == len(rows)  # no row twice, not even as its negative
+    assert all(min(row.items())[1] > 0 for row in rows)
     return keys
 
 
@@ -402,6 +412,34 @@ def test_orbit_rows_match_per_basepoint_walks_witness(sorted_witness_cover):
     primitive = d_primitive_predicate(3)
     rows = orbit_rows(cover, primitive, 3, basepoints)
     assert _row_set(rows) == _reference_orbit_rows(cover, primitive, 3, basepoints)
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [lambda word: word.letters[0] > 0, lambda word: True],
+    ids=["first-letter-positive", "all"],
+)
+def test_orbit_rows_walk_one_word_per_inverse_pair(monkeypatch, predicate):
+    # "first letter positive" passes x1 but not x1^-1: a word is skipped
+    # only when its inverse has passed and been walked, whatever the
+    # predicate
+    cover = _s5_surface_cover()
+    walked = []
+
+    def recording(cover, word, basepoint=0):
+        walked.append(word.letters)
+        return elevation_class(cover, word, basepoint)
+
+    monkeypatch.setattr(covers, "elevation_class", recording)
+    rows = orbit_rows(cover, predicate, 2)
+    passed, expect = set(), []
+    for word in reduced_words(cover.alphabet, 2):
+        if predicate(word):
+            if word.inverse().letters not in passed:
+                expect.append(word.letters)
+            passed.add(word.letters)
+    assert walked == expect
+    assert _row_set(rows) == _reference_orbit_rows(cover, predicate, 2, range(120))
 
 
 def _break_deck_perm(monkeypatch, cover, fault):
