@@ -299,7 +299,8 @@ def cmd_crt_lift(args, report):
 
 def _at_least(low):
     """An argparse type: an integer no smaller than ``low``, so a count
-    that would make a check vacuous is refused as bad input."""
+    that would make a check vacuous, or a size guard below 1, is refused
+    as bad input."""
 
     def parse(text):
         value = int(text)
@@ -342,7 +343,7 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--guard-points", type=int, default=10 ** 8)
+    p.add_argument("--guard-points", type=_at_least(1), default=10 ** 8)
     common(p)
     p.set_defaults(func=cmd_nvpoly)
 
@@ -370,8 +371,8 @@ def build_parser():
     p.add_argument("--d", type=_at_least(2), default=3)
     p.add_argument("--theta", help="JSON quotient for the theta-nonkernel orbit")
     p.add_argument("--max-word-len", type=_at_least(1), default=4)
-    p.add_argument("--guard-vertices", type=int, default=10 ** 5)
-    p.add_argument("--guard-dim", type=int, default=20000)
+    p.add_argument("--guard-vertices", type=_at_least(1), default=10 ** 5)
+    p.add_argument("--guard-dim", type=_at_least(1), default=20000)
     common(p)
     p.set_defaults(func=cmd_cover_report)
 
@@ -387,8 +388,8 @@ def build_parser():
                    help="also compute the rank of a sampled d-primitive span directly")
     p.add_argument("--orbit-word-len", type=_at_least(1), default=5)
     p.add_argument("--orbit-basepoints", type=_at_least(1), default=6)
-    p.add_argument("--guard-vertices", type=int, default=10 ** 5)
-    p.add_argument("--guard-dim", type=int, default=20000)
+    p.add_argument("--guard-vertices", type=_at_least(1), default=10 ** 5)
+    p.add_argument("--guard-dim", type=_at_least(1), default=20000)
     common(p)
     p.set_defaults(func=cmd_witness_e2e)
 

@@ -8,6 +8,18 @@ generator, and, in the surface case, one 2-cell per vertex whose boundary
 walks the relator from that vertex.  The deck group acts by left
 multiplication, which commutes with the right-multiplication edges.
 
+The closure holds each group element as a row of integers (a
+:class:`RowCode`): a permutation is its point map, a residue tuple its
+vector, and a tuple of units its coefficients over the monomials
+reachable from 1 under the generator images.  Right multiplication by a
+generator is then affine on rows (a gather, an add mod m, or a sparse
+right-multiplication table built from the algebra's own product), so
+the BFS moves a whole level through each generator with numpy and keys
+vertices by the bytes of their rows.  The row dtype is the narrowest
+that holds every residue exactly.  The rows held may not pass
+``ROW_BYTES_GUARD`` bytes, nor the vertices the caller's vertex guard:
+either stops the build with TooLarge.
+
 Homology is computed in the fundamental-cycle coordinates of a BFS
 spanning tree: a cycle is determined by its coefficients on the non-tree
 edges, and in the surface case classes are taken modulo the rows of the
@@ -22,7 +34,7 @@ deck element whose power lands in C off ker psi, and omega^psi(c) != 1
 forces the projection to zero) while pi is nonzero on H_1, which
 contains the regular representation.  The projector takes C and psi as
 tables, the central vertex ids and psi of each mod d; for a cover built
-from a witness bundle, ``central_slice`` reads them off the factor units,
+from a witness bundle, ``central_slice`` reads them off the unit rows,
 and nothing else in the certificate reads the algebra.  The kernel claim
 is certified for every word at every basepoint by one sweep of the
 Cayley graph: the exponent sums mod d of the tree words add e_i along
@@ -33,15 +45,15 @@ Z[omega] modulo the d-th cyclotomic polynomial.
 
 import operator
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraSpec, AlgElement
+from .algebra import AlgebraSpec, AlgElement, _mul_terms
 from .errors import InvalidConfig, PropertyViolation, TooLarge
-from .units import in_central_subgroup
 from .witness import (
     Alphabet,
     GroupWord,
@@ -50,6 +62,11 @@ from .witness import (
     reduced_words,
     surface_relator,
 )
+
+# Bytes of vertex rows that build_cover may hold, and of the closure that
+# builds the right-multiplication tables of unit rows (counted as 24 bytes
+# an entry and 128 a column); past it the cover is refused with TooLarge.
+ROW_BYTES_GUARD = 1 << 26
 
 # ---------------------------------------------------------------------------
 # generator images
@@ -81,6 +98,12 @@ class PermImage:
     def key(self):
         return self.map
 
+    def row_code(self, images):
+        """Rows are point maps; x * g gathers the points of x by g's map."""
+        deg = len(self.map)
+        points = range(deg)
+        return RowCode(points, [deg] * deg, [(img.map, points, [1] * deg, ()) for img in images])
+
 
 class ResidueImage:
     """Element of (Z/m)^t written multiplicatively."""
@@ -107,6 +130,12 @@ class ResidueImage:
     def key(self):
         return self.vec
 
+    def row_code(self, images):
+        """Rows are residue vectors; x * g adds g's vector mod m."""
+        t = len(self.vec)
+        cols = range(t)
+        return RowCode(self.vec, [self.mod] * t, [(cols, cols, [1] * t, img.vec) for img in images])
+
 
 class UnitImage:
     """Tuple of units of truncated algebras, one per factor, multiplied
@@ -130,6 +159,99 @@ class UnitImage:
 
     def key(self):
         return tuple(map(AlgElement.canonical_key, self.units))
+
+    def row_code(self, images):
+        """Rows are coefficient vectors, factor after factor, over the
+        monomials reachable from 1 by right multiplication with the terms
+        of the generator images.  Generator i's table sends column a to
+        the coefficients of (monomial a) * g_i, from the algebra's product
+        kernel; the closure takes one product per column and generator."""
+        start, mods, factors = [], [], []
+        # coefficients stay Python ints until RowCode has checked them
+        # against int64
+        tables = [(array("q"), array("q"), []) for _ in images]
+        for f, unit in enumerate(self.units):
+            spec, base = unit.spec, len(start)
+            monos, at = [spec.one_mono], {spec.one_mono: 0}
+            for a in monos:  # the list grows as the closure finds monomials
+                for img, (src, dst, coeff) in zip(images, tables):
+                    for b, c in _mul_terms(spec, {a: 1}, img.units[f].terms).items():
+                        if c % spec.r:
+                            if b not in at:
+                                at[b] = len(monos)
+                                monos.append(b)
+                            src.append(base + at[a])
+                            dst.append(base + at[b])
+                            coeff.append(c % spec.r)
+                entries = sum(len(t[0]) for t in tables)
+                if 24 * entries + 128 * (base + len(monos)) > ROW_BYTES_GUARD:
+                    raise TooLarge(
+                        f"the right-multiplication tables of {spec} pass the row byte "
+                        f"guard {ROW_BYTES_GUARD}"
+                    )
+            start += [1] + [0] * (len(monos) - 1)
+            mods += [spec.r] * len(monos)
+            factors.append((spec, monos))
+        return RowCode(start, mods, [(*t, ()) for t in tables], tuple(factors))
+
+
+class RowCode:
+    """Group elements as integer rows, for the closure in build_cover.
+
+    ``start`` is the row of the identity.  Right multiplication by
+    generator i is affine on rows: x * g_i adds x[src] * coeff into the
+    columns dst, adds ``shift`` and reduces column j mod mods[j].  Rows are
+    stored in ``dtype``, the narrowest unsigned type holding every residue
+    below the largest modulus, so distinct elements have distinct bytes.
+    Products are taken in int64, and a code whose sums could overflow it
+    is refused with TooLarge.  ``factors`` lists the (spec, monomials) of
+    the columns of unit rows, factor after factor, and is empty for
+    permutations and residues."""
+
+    def __init__(self, start, mods, steps, factors=()):
+        top = max(mods, default=1) - 1
+        self.factors = factors
+        self.steps = []
+        for src, dst, coeff, shift in steps:
+            dst = np.asarray(dst, dtype=np.int64)
+            fan_in = int(np.bincount(dst).max(initial=0))
+            if top * max(coeff, default=0) * fan_in + max(shift, default=0) >= 2 ** 63:
+                raise TooLarge(f"row entries up to {top} overflow int64 products")
+            groups = _disjoint_groups(np.asarray(src, dtype=np.int64), dst,
+                                      np.asarray(coeff, dtype=np.int64), fan_in)
+            self.steps.append((groups, np.asarray(shift or 0, dtype=np.int64)))
+        self.dtype = np.min_scalar_type(top)
+        self.start = np.asarray(start, dtype=self.dtype)
+        self.mods = np.asarray(mods, dtype=np.int64)
+
+    def apply(self, rows, i):
+        """The int64 rows times generator i."""
+        groups, shift = self.steps[i]
+        out = np.empty_like(rows)
+        out[:] = shift
+        for src, dst, coeff in groups:
+            out[:, dst] += rows[:, src] * coeff
+        out %= self.mods
+        return out
+
+    def units(self, row):
+        """The factor units of a unit row."""
+        units, at = [], 0
+        for spec, monos in self.factors:
+            coeffs = row[at : at + len(monos)].tolist()
+            units.append(AlgElement._raw(spec, {m: c for m, c in zip(monos, coeffs) if c}))
+            at += len(monos)
+        return units
+
+
+def _disjoint_groups(src, dst, coeff, fan_in):
+    """The entries of a sparse table split into ``fan_in`` groups with
+    distinct dst each, the k-th group holding the k-th entry into every
+    column, so each group is one gather and one scatter-add."""
+    order = np.argsort(dst, kind="stable")
+    src, dst, coeff = src[order], dst[order], coeff[order]
+    rank = np.arange(dst.size) - np.searchsorted(dst, dst)
+    return tuple((src[rank == k], dst[rank == k], coeff[rank == k]) for k in range(fan_in))
 
 
 @dataclass
@@ -183,14 +305,22 @@ def quotient_from_bundle(bundle: WitnessBundle) -> FiniteQuotient:
 def central_slice(cover, bundle: WitnessBundle):
     """(central, psi) for a cover built by :func:`quotient_from_bundle`:
     the vertices whose factor units are all central, and psi of each,
-    mod d.  The one place the certificate reads the algebra."""
-    central, psi = [], []
-    for v, elem in enumerate(cover.elements):
-        if all(in_central_subgroup(g) for g in elem.units):
-            units = iter(elem.units)
-            nested = tuple(tuple(next(units) for _ in comp.factors) for comp in bundle.components)
-            central.append(v)
-            psi.append(bundle.psi_of_centrals(nested))
+    mod d.  A unit is central when its constant term is 1 and every other
+    coefficient below the top degree is zero, one test on all the rows;
+    units are built for the central vertices alone, for psi.  The one
+    place the certificate reads the algebra."""
+    one, low = [], []
+    for spec, monos in cover.code.factors:
+        for m in monos:
+            one.append(m == spec.one_mono)
+            low.append(m != spec.one_mono and spec.degree(m) < spec.cap)
+    rows = cover.rows
+    central = np.flatnonzero((rows[:, one] == 1).all(axis=1) & ~rows[:, low].any(axis=1)).tolist()
+    psi = []
+    for v in central:
+        units = iter(cover.code.units(rows[v]))
+        nested = tuple(tuple(next(units) for _ in comp.factors) for comp in bundle.components)
+        psi.append(bundle.psi_of_centrals(nested))
     return central, psi
 
 
@@ -260,11 +390,12 @@ def quotient_from_json(data) -> FiniteQuotient:
 @dataclass
 class CoverComplex:
     """Vertices, edges, spanning tree and (surface) 2-cells of the cover
-    attached to a finite quotient.  Edge (v, i) has id v * ngens + i."""
+    attached to a finite quotient.  Vertex v is the group element of row v
+    of ``rows`` under ``code``; edge (v, i) has id v * ngens + i."""
 
     quotient: FiniteQuotient
-    elements: list
-    index: dict
+    code: RowCode
+    rows: np.ndarray
     targets: np.ndarray
     inv_targets: np.ndarray
     tree_parent: list
@@ -275,6 +406,17 @@ class CoverComplex:
     _tree_levels: list = field(default=None, repr=False)
     _boundary_rows: list = field(default=None, repr=False)
     _dim_h1: int = field(default=None, repr=False)
+    # plain copies for the walks, which read one entry per letter: the
+    # head of edge (v, i) and the tail of the i-edge into v, both at
+    # index v * ngens + i
+    ngens: int = field(init=False, repr=False)
+    _heads: list = field(init=False, repr=False)
+    _tails: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ngens = self.quotient.alphabet.ngens
+        self._heads = self.targets.ravel().tolist()
+        self._tails = self.inv_targets.ravel().tolist()
 
     @property
     def alphabet(self):
@@ -282,11 +424,7 @@ class CoverComplex:
 
     @property
     def n_vertices(self):
-        return len(self.elements)
-
-    @property
-    def ngens(self):
-        return self.alphabet.ngens
+        return len(self.targets)
 
     @property
     def n_edges(self):
@@ -322,8 +460,7 @@ class CoverComplex:
         vec = self.tree_path_vec(v)
         eid = v * self.ngens + i
         vec[eid] = vec.get(eid, 0) + 1
-        w = int(self.targets[v, i])
-        for e, c in self.tree_path_vec(w).items():
+        for e, c in self.tree_path_vec(self._heads[eid]).items():
             s = vec.get(e, 0) - c
             if s:
                 vec[e] = s
@@ -341,15 +478,15 @@ class CoverComplex:
     def _walk(self, word: GroupWord, v: int, vec: dict) -> int:
         """Add the lift of word starting at vertex v to the edge vector vec
         (zero entries kept); returns the end vertex."""
+        g, heads, tails = self.ngens, self._heads, self._tails
         for letter in word.letters:
-            i = abs(letter) - 1
             if letter > 0:
-                eid = v * self.ngens + i
+                eid = v * g + letter - 1
                 vec[eid] = vec.get(eid, 0) + 1
-                v = int(self.targets[v, i])
+                v = heads[eid]
             else:
-                v = int(self.inv_targets[v, i])
-                eid = v * self.ngens + i
+                v = tails[v * g - letter - 1]
+                eid = v * g - letter - 1
                 vec[eid] = vec.get(eid, 0) - 1
         return v
 
@@ -443,63 +580,76 @@ class CoverComplex:
 
 
 def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> CoverComplex:
-    """Closure BFS from the identity; the discovery edges form the
-    spanning tree.  Deterministic: vertices in BFS order, generators in
-    index order."""
-    identity = quotient.identity
-    elements = [identity]
-    index = {identity.key(): 0}
-    tree_parent = [None]
-    targets_rows = []
-    queue = [0]
-    ptr = 0
-    while ptr < len(queue):
-        v = queue[ptr]
-        ptr += 1
-        elem = elements[v]
-        row = []
-        for i, img in enumerate(quotient.images):
-            nxt = elem.mul(img)
-            key = nxt.key()
-            w = index.get(key)
-            if w is None:
-                w = len(elements)
-                if w >= guard_vertices:
-                    raise TooLarge(
-                        f"cover exceeds the vertex guard {guard_vertices}"
-                    )
-                index[key] = w
-                elements.append(nxt)
-                tree_parent.append((v, i))
-                queue.append(w)
-            row.append(w)
-        targets_rows.append(row)
-    # BFS appends vertices while scanning, so targets_rows is already full
-    targets = np.array(targets_rows, dtype=np.int64)
-    ngens = quotient.alphabet.ngens
+    """Closure BFS from the identity, one level at a time; the discovery
+    edges form the spanning tree.  Deterministic: vertices in BFS order,
+    vertex-major within a level, generators in index order.
+
+    The rows of a level go through every generator at once, in chunks of
+    about ``_BATCH_ENTRIES`` entries a generator, and a head is a new
+    vertex when the bytes of its row are not yet a key.  After every
+    chunk the build stops with TooLarge if the vertices pass
+    ``guard_vertices`` or their rows ``ROW_BYTES_GUARD`` bytes."""
+    code = quotient.identity.row_code(quotient.images)
+    g = quotient.alphabet.ngens
+    start = code.start
+    width, row_bytes = start.size, start.nbytes
+    index = {start.tobytes(): 0}  # row bytes -> vertex, in vertex order
+    targets, parents = [], []
+    level, first = start[None], 0  # the rows of a level and its first vertex
+    step = max(1, _BATCH_ENTRIES // max(1, width * g))
+    while len(level):
+        found = []
+        for at in range(0, len(level), step):
+            block = level[at : at + step].astype(np.int64)
+            heads = np.stack([code.apply(block, i) for i in range(g)], axis=1)
+            heads = heads.astype(code.dtype).reshape(len(block) * g, width)
+            known = len(index)
+            ids = np.array(
+                [index.setdefault(key, len(index)) for key in _row_keys(heads)], dtype=np.int64
+            )
+            # new vertices are numbered in order of their first edge
+            vals, pos = np.unique(ids, return_index=True)
+            pos = pos[vals >= known]
+            found.append(heads[pos])
+            parents.append(np.column_stack((first + at + pos // g, pos % g)))
+            targets.append(ids)
+            if len(index) > guard_vertices:
+                raise TooLarge(f"cover exceeds the vertex guard {guard_vertices}")
+            if len(index) * row_bytes > ROW_BYTES_GUARD:
+                raise TooLarge(
+                    f"cover rows of {row_bytes} bytes pass the byte guard {ROW_BYTES_GUARD} "
+                    f"at {len(index)} vertices"
+                )
+        first += len(level)
+        level = np.concatenate(found)
+    n = len(index)
+    rows = np.frombuffer(b"".join(index), dtype=code.dtype).reshape(n, width)
+    targets = np.concatenate(targets).reshape(n, g)
     inv_targets = np.empty_like(targets)
-    for i in range(ngens):
-        inv_targets[targets[:, i], i] = np.arange(len(elements))
-    nontree = []
-    tree_edges = {
-        (u, i) for parent in tree_parent if parent for (u, i) in [parent]
-    }
-    for v in range(len(elements)):
-        for i in range(ngens):
-            if (v, i) not in tree_edges:
-                nontree.append((v, i))
-    nontree_pos = np.full(len(elements) * ngens, len(nontree), dtype=np.int64)
-    nontree_pos[[v * ngens + i for v, i in nontree]] = np.arange(len(nontree))
+    inv_targets[targets, np.arange(g)] = np.arange(n)[:, None]
+    parents = np.concatenate(parents)
+    tree = np.zeros(n * g, dtype=bool)
+    tree[parents[:, 0] * g + parents[:, 1]] = True
+    cotree = np.flatnonzero(~tree)
+    nontree_pos = np.full(n * g, cotree.size, dtype=np.int64)
+    nontree_pos[cotree] = np.arange(cotree.size)
     return CoverComplex(
         quotient,
-        elements,
-        index,
+        code,
+        rows,
         targets,
         inv_targets,
-        tree_parent,
-        nontree,
+        [None] + list(map(tuple, parents.tolist())),
+        list(zip((cotree // g).tolist(), (cotree % g).tolist())),
         nontree_pos,
     )
+
+
+def _row_keys(rows):
+    """The bytes of each row of a C-contiguous 2-D array."""
+    if not rows.shape[1]:
+        return [b""] * len(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +663,9 @@ _RANK_PRIMES = (
     2147483489, 2147483477, 2147483423, 2147483399,
     2147483353, 2147483323, 2147483269, 2147483249,
 )
-# entries per numpy update or scan slice of _rank_mod_p and per batch of
-# orbit_rows and the deck-map check, so temporaries stay small whatever
-# the matrix shape
+# entries per numpy update or scan slice of _rank_mod_p, per batch of
+# orbit_rows and the deck-map check, and per generator in a chunk of the
+# cover build, so temporaries stay small whatever the matrix shape
 _BATCH_ENTRIES = 1 << 14
 # width of the first window _leads scans; each further window is 4x wider
 _LEAD_WINDOW = 256

@@ -284,6 +284,19 @@ def _bad_quotient_exit(tmp_path, text):
     return main(["cover-report", "--quotient", str(quot)])
 
 
+def test_wide_unit_rows_trip_the_byte_guard(tmp_path, capsys):
+    # 1 + X1 and 1 + X2 reach all 2^28 - 1 monomials of the free algebra at
+    # r = 3, k = 3: the closure of the row columns stops at the byte guard
+    # instead of listing them
+    quotient = {
+        "domain": "free", "rank": 2, "type": "unit",
+        "algebra": {"kind": "free", "r": 3, "k": 3, "ngens": 2},
+        "images": [{"monomials": [[[], 1], [[i], 1]]} for i in range(2)],
+    }
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+    assert "pass the row byte guard" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, field",
     [
@@ -416,6 +429,14 @@ WITNESS = ("witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", 
         (("verify-free", "--r", "3", "--n", "2", "--samples", "-5"), "--samples"),
         (("verify-surface", "--r", "3", "--genus", "2", "--samples", "-5"), "--samples"),
         (("crt-lift", "--primes", "3,5", "--n", "2", "--samples", "-5"), "--samples"),
+        # a guard of 0 passed a one-vertex cover; -5 reported "cover
+        # exceeds the vertex guard -5"
+        (("cover-report", "--quotient", "q.json", "--guard-vertices", "0"), "--guard-vertices"),
+        (("cover-report", "--quotient", "q.json", "--guard-vertices", "-5"), "--guard-vertices"),
+        (("cover-report", "--quotient", "q.json", "--guard-dim", "0"), "--guard-dim"),
+        (WITNESS + ("--guard-vertices", "-5"), "--guard-vertices"),
+        (WITNESS + ("--guard-dim", "0"), "--guard-dim"),
+        (("nvpoly", "--r", "3", "--n", "2", "--guard-points", "0"), "--guard-points"),
     ],
 )
 def test_vacuous_count_exits_two_with_one_line(capsys, argv, option):

@@ -38,6 +38,7 @@ from coverhom import (
     symbol,
 )
 from coverhom import cli, covers
+from coverhom.algebra import AlgebraSpec, m_spec, quat_spec, sorted_spec
 from coverhom.covers import (
     _RANK_PRIMES,
     _central_orbits,
@@ -48,6 +49,7 @@ from coverhom.covers import (
     omega_powers,
     orbit_rows,
 )
+from coverhom.witness import _quaternion_images
 
 FREE2 = Alphabet("free", 2)
 SURF2 = Alphabet("surface", 2)
@@ -109,6 +111,128 @@ def test_vertex_guard():
     q = FiniteQuotient(FREE2, (ResidueImage((1,), 7), ResidueImage((0,), 7)))
     with pytest.raises(TooLarge):
         build_cover(q, guard_vertices=5)
+
+
+def _reference_cover(quotient):
+    """The per-element closure the row BFS replaced, kept as an oracle:
+    one product in the group and one canonical key per edge.  Returns
+    (elements, targets, tree_parent, nontree)."""
+    elements, index = [quotient.identity], {quotient.identity.key(): 0}
+    tree_parent, targets = [None], []
+    for v, elem in enumerate(elements):  # the list grows as vertices are found
+        row = []
+        for i, img in enumerate(quotient.images):
+            nxt = elem.mul(img)
+            key = nxt.key()
+            if key not in index:
+                index[key] = len(elements)
+                elements.append(nxt)
+                tree_parent.append((v, i))
+            row.append(index[key])
+        targets.append(row)
+    tree = set(tree_parent[1:])
+    nontree = [
+        (v, i) for v in range(len(elements)) for i in range(len(quotient.images))
+        if (v, i) not in tree
+    ]
+    return elements, targets, tree_parent, nontree
+
+
+def _elements(cover):
+    """The group element of each vertex, decoded from its row."""
+    ident = cover.quotient.identity
+    if isinstance(ident, PermImage):
+        return [PermImage(row) for row in cover.rows.tolist()]
+    if isinstance(ident, ResidueImage):
+        return [ResidueImage(row, ident.mod) for row in cover.rows.tolist()]
+    return [UnitImage(cover.code.units(row)) for row in cover.rows]
+
+
+def _assert_matches_reference(quotient):
+    cover = build_cover(quotient)
+    elements, targets, tree_parent, nontree = _reference_cover(quotient)
+    assert cover.targets.tolist() == targets
+    assert cover.tree_parent == tree_parent
+    assert cover.nontree == nontree
+    assert [e.key() for e in _elements(cover)] == [e.key() for e in elements]
+    return cover
+
+
+def _unit_quotient(alphabet, *factor_images):
+    """The quotient sending generator i to the tuple of the i-th image of
+    every factor."""
+    return FiniteQuotient(alphabet, [UnitImage(units) for units in zip(*factor_images)])
+
+
+def _magnus_images(spec):
+    return [one(spec) + symbol(spec, i) for i in range(spec.ngens)]
+
+
+QUOTIENTS = {
+    "perm-s5-surface": lambda: _s5_surface_cover().quotient,
+    # rows of width 0: the trivial group, one vertex
+    "perm-degree-0": lambda: FiniteQuotient(FREE2, (PermImage(()), PermImage(()))),
+    "residue-z3": lambda: _z3_free_cover().quotient,
+    "residue-z4xz6": lambda: FiniteQuotient(
+        Alphabet("free", 3), tuple(ResidueImage(v, 12) for v in ((3, 2), (0, 2), (3, 0)))
+    ),
+    **{
+        f"unit-{kind}-r{r}": (
+            lambda kind=kind, r=r: _unit_quotient(FREE2, _magnus_images(AlgebraSpec(kind, r, 1, 2)))
+        )
+        for kind in ("free", "sorted") for r in (2, 3)
+    },
+    "unit-m-r3": lambda: _unit_quotient(FREE2, _magnus_images(m_spec(3, 1, 1))),
+    # 1 + Ai + the Catalan tail in degree-0 unit k, and 1 + Bj
+    "unit-quat-r3": lambda: _unit_quotient(FREE2, _quaternion_images(quat_spec(3, 1))[0][:2]),
+    # factors over r = 3 and r = 2: the columns reduce by their own moduli
+    "unit-two-factor": lambda: _unit_quotient(
+        FREE2, _magnus_images(m_spec(3, 1, 1)), _magnus_images(sorted_spec(2, 1, 2))
+    ),
+    "unit-two-component-bundle": lambda: quotient_from_bundle(_two_component_bundle()),
+}
+
+
+@pytest.mark.parametrize("make", QUOTIENTS.values(), ids=QUOTIENTS.keys())
+def test_build_cover_matches_the_per_element_closure(make):
+    _assert_matches_reference(make())
+
+
+def test_build_cover_matches_the_per_element_closure_on_random_quotients():
+    rng = random.Random(2024)
+    for alphabet in (FREE2, Alphabet("free", 3), SURF2, Alphabet("surface", 3)):
+        for _ in range(4):
+            _assert_matches_reference(random_quotient(alphabet, rng))
+
+
+def test_rows_hold_residues_past_255():
+    # (1 + X^200)^j = 1 + j X^200 over r = 257: a cyclic cover of order
+    # 257, whose coefficient 256 a one-byte row would fold onto the identity
+    spec = free_spec(257, 1, 1)
+    image = one(spec) + AlgElement(spec, {bytes(200): 1})
+    cover = _assert_matches_reference(_unit_quotient(Alphabet("free", 1), [image]))
+    assert cover.n_vertices == 257 and cover.rows.dtype == np.uint16
+
+
+def test_rows_of_a_large_modulus_are_exact():
+    q = FiniteQuotient(FREE2, (ResidueImage((2 ** 61,), 2 ** 62), ResidueImage((0,), 2 ** 62)))
+    cover = build_cover(q, guard_vertices=10)
+    assert cover.rows.dtype == np.uint64 and cover.rows[1].tolist() == [2 ** 61]
+    # entries and shifts below 2^63 add past int64
+    q = FiniteQuotient(FREE2, (ResidueImage((2 ** 62,), 2 ** 63), ResidueImage((0,), 2 ** 63)))
+    with pytest.raises(TooLarge, match="overflow int64"):
+        build_cover(q)
+
+
+def test_byte_guard_stops_the_build(monkeypatch):
+    # 50 one-byte rows pass a 40-byte guard; the vertex guard is far off
+    monkeypatch.setattr(covers, "ROW_BYTES_GUARD", 40)
+    q = FiniteQuotient(FREE2, (ResidueImage((1,), 50), ResidueImage((0,), 50)))
+    with pytest.raises(TooLarge, match="byte guard 40"):
+        build_cover(q)
+    # the right-multiplication tables count against it too
+    with pytest.raises(TooLarge, match="right-multiplication tables"):
+        build_cover(QUOTIENTS["unit-free-r3"]())
 
 
 def test_euler_characteristic_multiplicativity():
@@ -478,9 +602,12 @@ def test_projector_refuses_a_permutation_that_is_not_a_deck_map(
 def _reference_deck_perms(cover, vertices):
     """The algebraic deck maps deck_perm replaced, kept as an oracle: the
     left multiplications by each generator image, found by products in
-    the group, composed along each vertex's tree word."""
+    the group on the elements decoded from the rows, composed along each
+    vertex's tree word."""
+    elements = _elements(cover)
+    index = {elem.key(): v for v, elem in enumerate(elements)}
     left = [
-        np.array([cover.index[img.mul(elem).key()] for elem in cover.elements])
+        np.array([index[img.mul(elem).key()] for elem in elements])
         for img in cover.quotient.images
     ]
     for v in vertices:
@@ -600,21 +727,27 @@ def test_projector_refuses_a_surface_cover():
         IsotypicProjector(_s5_surface_cover(), [0], [0], 3)
 
 
-def test_central_slice_of_a_two_component_bundle():
-    # the r = 2 sorted and full witnesses as the components of one bundle,
-    # weights (1, 0): each vertex holds one unit per factor
+def _two_component_bundle():
+    """The r = 2 sorted and full witnesses as the components of one
+    bundle, weights (1, 0): each vertex holds one unit per factor."""
     sorted_, full = (assemble_witness_free(2, 2, None, v) for v in ("sorted", "full"))
-    bundle = dataclasses.replace(sorted_, components=(
+    return dataclasses.replace(sorted_, components=(
         dataclasses.replace(sorted_.components[0], q=1),
         dataclasses.replace(full.components[0], q=0),
     ))
+
+
+def test_central_slice_of_a_two_component_bundle():
+    bundle = _two_component_bundle()
     cover = build_cover(quotient_from_bundle(bundle))
     central, psi = central_slice(cover, bundle)
     assert cover.n_vertices == 32 and len(central) == 8
     assert psi == [0, 1, 1, 0, 1, 0, 0, 1]
     (sfac,), (ffac,) = (comp.factors for comp in bundle.components)
-    for v, elem in enumerate(cover.elements):
-        s, f = elem.units
+    # the units of every vertex, decoded from its row, against direct
+    # evaluation of centrality and psi
+    for v, row in enumerate(cover.rows):
+        s, f = cover.code.units(row)
         assert (s.spec, f.spec) == (sfac.spec, ffac.spec)
         assert (v in central) == (in_central_subgroup(s) and in_central_subgroup(f))
         if v in central:
