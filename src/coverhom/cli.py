@@ -252,11 +252,15 @@ def cmd_witness_e2e(args, report):
         projection = _timed(checks, "isotypic-projection", covers.isotypic_projection_check,
                             proj, bundle.exponent, max_word_len=args.max_word_len, seed=args.seed)
     if args.orbit_rank:
-        # distinct draws in order: a repeated basepoint only repeats rows
-        rng = random.Random(args.seed)
-        basepoints = list(dict.fromkeys([0] + [
-            rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
-        ]))
+        if args.orbit_basepoints >= cover.n_vertices:
+            # exhaustive: the report's basepoints is then the group order
+            basepoints = list(range(cover.n_vertices))
+        else:
+            # distinct draws in order: a repeated basepoint only repeats rows
+            rng = random.Random(args.seed)
+            basepoints = list(dict.fromkeys([0] + [
+                rng.randrange(cover.n_vertices) for _ in range(args.orbit_basepoints - 1)
+            ]))
         _timed(checks, "orbit-span", orbit_rank, cover, covers.d_primitive_predicate(args.r),
                args.orbit_word_len, args.seed, args.guard_dim, vertices=basepoints,
                require_proper=True, basepoints=len(basepoints))
@@ -387,7 +391,9 @@ def build_parser():
     p.add_argument("--orbit-rank", action="store_true",
                    help="also compute the rank of a sampled d-primitive span directly")
     p.add_argument("--orbit-word-len", type=_at_least(1), default=5)
-    p.add_argument("--orbit-basepoints", type=_at_least(1), default=6)
+    p.add_argument("--orbit-basepoints", type=_at_least(1), default=6,
+                   help="vertex 0 and random draws; at least the group order "
+                   "takes every vertex")
     p.add_argument("--guard-vertices", type=_at_least(1), default=10 ** 5)
     p.add_argument("--guard-dim", type=_at_least(1), default=20000)
     common(p)

@@ -15,17 +15,19 @@ reachable from 1 under the generator images.  Right multiplication by a
 generator is then affine on rows (a gather, an add mod m, or a sparse
 right-multiplication table built from the algebra's own product), so
 the BFS moves a whole level through each generator with numpy and keys
-vertices by the bytes of their rows.  The row dtype is the narrowest
-that holds every residue exactly.  The rows held may not pass
-``ROW_BYTES_GUARD`` bytes, nor the vertices the caller's vertex guard:
-either stops the build with TooLarge.
+vertices by a digest of their rows, checked against the one stored copy
+of each row.  The row dtype is the narrowest that holds every residue
+exactly.  The rows held may not pass ``ROW_BYTES_GUARD`` bytes, nor the
+vertices the caller's vertex guard: either stops the build with TooLarge.
 
 Homology is computed in the fundamental-cycle coordinates of a BFS
 spanning tree: a cycle is determined by its coefficients on the non-tree
 edges, and in the surface case classes are taken modulo the rows of the
-2-cell boundary map.  Ranks over the rationals are computed modulo two
-independent 31-bit primes with agreement required and an exact Fraction
-elimination as the fallback.
+2-cell boundary map.  A rank is k + r.  The k pivots come from singleton
+rows and columns, with no arithmetic, and are exact over Q.  r is the
+rank of the rest modulo a random 31-bit prime, which is only a lower
+bound on its rank over Q; a second independent prime must agree, and
+otherwise an exact Fraction elimination of the rest gives r.
 
 The subspace certificate: on a free cover, the averaging operator
 pi = (1/|C|) sum_c omega^(-psi(c)) deck(c) over a central slice C kills
@@ -585,34 +587,44 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
     vertex-major within a level, generators in index order.
 
     The rows of a level go through every generator at once, in chunks of
-    about ``_BATCH_ENTRIES`` entries a generator, and a head is a new
-    vertex when the bytes of its row are not yet a key.  After every
+    about ``_BATCH_ENTRIES`` entries a generator.  The rows are held once,
+    in one array in vertex order, whose slice for a level is the next
+    input.  A head is a new vertex when the digest of its row is not yet a
+    key, and every head is checked against the stored row of the vertex
+    its digest names.  A collision starts the closure again with the next
+    salt, which changes every digest but no vertex number.  After every
     chunk the build stops with TooLarge if the vertices pass
-    ``guard_vertices`` or their rows ``ROW_BYTES_GUARD`` bytes."""
+    ``guard_vertices`` or their rows ``ROW_BYTES_GUARD`` bytes; everything
+    else it holds is a chunk's temporaries or a few words a vertex."""
     code = quotient.identity.row_code(quotient.images)
+    salt = 0
+    while (cover := _closure(quotient, code, guard_vertices, salt)) is None:
+        salt += 1
+    return cover
+
+
+def _closure(quotient, code, guard_vertices, salt):
+    """build_cover with digests salted by ``salt``, or None after a digest
+    collision."""
     g = quotient.alphabet.ngens
-    start = code.start
-    width, row_bytes = start.size, start.nbytes
-    index = {start.tobytes(): 0}  # row bytes -> vertex, in vertex order
+    width, row_bytes = code.start.size, code.start.nbytes
+    cap = min(guard_vertices, ROW_BYTES_GUARD // row_bytes) if row_bytes else guard_vertices
+    rows = np.empty((max(cap, 1), width), dtype=code.dtype)
+    rows[0] = code.start
+    index = {_row_digests(rows[:1], salt)[0]: 0}  # digest -> vertex
     targets, parents = [], []
-    level, first = start[None], 0  # the rows of a level and its first vertex
+    lo, hi = 0, 1  # the vertices of the current level
     step = max(1, _BATCH_ENTRIES // max(1, width * g))
-    while len(level):
-        found = []
-        for at in range(0, len(level), step):
-            block = level[at : at + step].astype(np.int64)
+    while lo < hi:
+        for at in range(lo, hi, step):
+            block = rows[at : min(at + step, hi)].astype(np.int64)
             heads = np.stack([code.apply(block, i) for i in range(g)], axis=1)
             heads = heads.astype(code.dtype).reshape(len(block) * g, width)
             known = len(index)
             ids = np.array(
-                [index.setdefault(key, len(index)) for key in _row_keys(heads)], dtype=np.int64
+                [index.setdefault(key, len(index)) for key in _row_digests(heads, salt)],
+                dtype=np.int64,
             )
-            # new vertices are numbered in order of their first edge
-            vals, pos = np.unique(ids, return_index=True)
-            pos = pos[vals >= known]
-            found.append(heads[pos])
-            parents.append(np.column_stack((first + at + pos // g, pos % g)))
-            targets.append(ids)
             if len(index) > guard_vertices:
                 raise TooLarge(f"cover exceeds the vertex guard {guard_vertices}")
             if len(index) * row_bytes > ROW_BYTES_GUARD:
@@ -620,10 +632,16 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
                     f"cover rows of {row_bytes} bytes pass the byte guard {ROW_BYTES_GUARD} "
                     f"at {len(index)} vertices"
                 )
-        first += len(level)
-        level = np.concatenate(found)
+            # new vertices are numbered in order of their first edge
+            vals, pos = np.unique(ids, return_index=True)
+            pos = pos[vals >= known]
+            rows[known : len(index)] = heads[pos]
+            if not (rows[ids] == heads).all():
+                return None
+            parents.append(np.column_stack((at + pos // g, pos % g)))
+            targets.append(ids)
+        lo, hi = hi, len(index)
     n = len(index)
-    rows = np.frombuffer(b"".join(index), dtype=code.dtype).reshape(n, width)
     targets = np.concatenate(targets).reshape(n, g)
     inv_targets = np.empty_like(targets)
     inv_targets[targets, np.arange(g)] = np.arange(n)[:, None]
@@ -636,7 +654,7 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
     return CoverComplex(
         quotient,
         code,
-        rows,
+        rows[:n],
         targets,
         inv_targets,
         [None] + list(map(tuple, parents.tolist())),
@@ -645,11 +663,15 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
     )
 
 
-def _row_keys(rows):
-    """The bytes of each row of a C-contiguous 2-D array."""
+def _row_digests(rows, salt):
+    """A hash of the bytes of each row of a C-contiguous 2-D array,
+    preceded by ``salt`` zero bytes."""
     if not rows.shape[1]:
-        return [b""] * len(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+        return [hash(bytes(salt))] * len(rows)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+    if salt:
+        keys = [bytes(salt) + key for key in keys]
+    return list(map(hash, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -694,30 +716,70 @@ def _leads(mat, rows, start):
     return lead
 
 
-def _dense_mod_p(rows, ncols, p):
-    """Integer rows (sparse dicts) as a dense matrix of residues mod p.
-    The rank primes are below 2^31, so residues are stored as int32, half
-    the memory of int64; updates are computed in int64.  rank(A) =
-    rank(A^T), so a matrix with more rows than columns is filled
-    transposed and its elimination runs along the short side.  The flat
-    fill arrays are freed on return, before any elimination."""
+def _entries(rows):
+    """The nonzero entries of integer rows (sparse dicts) as three arrays:
+    row, column and value.  Values are int64, or Python ints in an object
+    array when one does not fit."""
     at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     cols = np.fromiter((j for row in rows for j in row), dtype=np.int64, count=at.size)
-    vals = np.fromiter(
-        (c % p for row in rows for c in row.values()), dtype=np.int64, count=at.size
-    )
-    if len(rows) > ncols:
-        mat = np.zeros((ncols, len(rows)), dtype=np.int32)
-        mat[cols, at] = vals
-    else:
-        mat = np.zeros((len(rows), ncols), dtype=np.int32)
-        mat[at, cols] = vals
+    vals = [c for row in rows for c in row.values()]
+    try:
+        vals = np.array(vals, dtype=np.int64)
+    except OverflowError:
+        vals = np.array(vals, dtype=object)
+    live = vals != 0
+    return at[live], cols[live], vals[live]
+
+
+def _peel(entries, shape):
+    """(k, entries, shape): the singleton phase of structured elimination,
+    exact over Q, so that rank = k + rank of the entries left.
+
+    A column with one entry makes its row independent of the others: that
+    row counts 1 and is dropped.  A row with one entry, at column j, is a
+    multiple of e_j, and as a pivot it clears column j from every row:
+    column j counts 1 and is dropped, and with it every row that is a
+    multiple of e_j.  The two passes, one bincount each, repeat until
+    neither finds anything.  The rows and columns left are renumbered in
+    order, so ``shape`` is that of the remainder."""
+    at, cols, vals = entries
+    k = 0
+    while at.size:
+        owners = np.zeros(shape[0], dtype=bool)
+        owners[at[np.bincount(cols, minlength=shape[1])[cols] == 1]] = True
+        keep = ~owners[at]
+        at, cols, vals = at[keep], cols[keep], vals[keep]
+        pivots = np.zeros(shape[1], dtype=bool)
+        pivots[cols[np.bincount(at, minlength=shape[0])[at] == 1]] = True
+        found = int(np.count_nonzero(owners)) + int(np.count_nonzero(pivots))
+        if not found:
+            break
+        k += found
+        keep = ~pivots[cols]
+        at, cols, vals = at[keep], cols[keep], vals[keep]
+    live_rows, at = np.unique(at, return_inverse=True)
+    live_cols, cols = np.unique(cols, return_inverse=True)
+    return k, (at, cols, vals), (live_rows.size, live_cols.size)
+
+
+def _dense_mod_p(entries, shape, p):
+    """Integer entries as a dense matrix of residues mod p.  The rank
+    primes are below 2^31, so residues are stored as int32, half the
+    memory of int64; updates are computed in int64.  rank(A) = rank(A^T),
+    so a matrix with more rows than columns is filled transposed and its
+    elimination runs along the short side."""
+    at, cols, vals = entries
+    if shape[0] > shape[1]:
+        at, cols, shape = cols, at, shape[::-1]
+    mat = np.zeros(shape, dtype=np.int32)
+    mat[at, cols] = vals % p
     return mat
 
 
-def _rank_mod_p(rows, ncols, p):
-    """Rank modulo p of integer rows (sparse dicts), by elimination on the
-    dense matrix of ``_dense_mod_p``, along its short side.
+def _rank_mod_p(entries, shape, p):
+    """Rank modulo p of the (row, column, value) ``entries`` of a matrix of
+    the given shape, by elimination on the dense matrix of
+    ``_dense_mod_p``, along its short side.
 
     Each step visits one pivot column only: the least lead (first nonzero
     column) among the live rows.  The rows leading there are the pivot and
@@ -725,9 +787,9 @@ def _rank_mod_p(rows, ncols, p):
     since the pivot row is zero elsewhere, and then their new leads are
     found by a scan from the next column.  Rows whose lead runs off the
     end are zero and drop out."""
-    if not rows:
+    if not entries[0].size:
         return 0
-    mat = _dense_mod_p(rows, ncols, p)
+    mat = _dense_mod_p(entries, shape, p)
     n = mat.shape[1]
     lead = _leads(mat, np.arange(mat.shape[0]), 0)
     r = 0
@@ -777,18 +839,24 @@ def _rank_exact(rows, ncols):
 
 
 def rank_over_rationals(rows, ncols, seed: int = 0) -> int:
-    """Rank of integer rows (sparse dicts) over Q: two independent random
-    31-bit primes must agree, otherwise exact Fraction elimination."""
-    rows = [row for row in rows if row]
-    if not rows or ncols == 0:
-        return 0
+    """Rank of integer rows (sparse dicts) over Q, as k + r.  k pivots are
+    peeled from singleton rows and columns by ``_peel``, exactly over Q.
+    r is the rank of the remainder modulo two independent random 31-bit
+    primes; a mod-p rank is only a lower bound on the rank over Q, and the
+    two must agree.  Otherwise exact Fraction elimination of the remainder
+    gives r."""
     rng = random.Random(seed)
     p1, p2 = rng.sample(_RANK_PRIMES, 2)
-    r1 = _rank_mod_p(rows, ncols, p1)
-    r2 = _rank_mod_p(rows, ncols, p2)
-    if r1 == r2:
-        return r1
-    return _rank_exact(rows, ncols)
+    k, entries, shape = _peel(_entries(rows), (len(rows), ncols))
+    if not entries[0].size:
+        return k
+    r = _rank_mod_p(entries, shape, p1)
+    if r == _rank_mod_p(entries, shape, p2):
+        return k + r
+    rest = [{} for _ in range(shape[0])]
+    for i, j, c in zip(*(x.tolist() for x in entries)):
+        rest[i][j] = c
+    return k + _rank_exact(rest, shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -823,19 +891,24 @@ def gaschutz_check(cover: CoverComplex, seed: int = 0) -> dict:
     }
 
 
-def elevation_class(cover: CoverComplex, word: GroupWord, basepoint: int = 0):
+def elevation_class(cover: CoverComplex, word: GroupWord, basepoint: int = 0, starts=None):
     """(m, edge vector) with m the order of theta(word) and the vector the
     lift of word^m starting at the basepoint.  Both come from one walk on
     the Cayley graph: the lift of word from vertex x ends at
     x * theta(word), so word is walked again until the lift first returns
-    to the basepoint, after m rounds."""
-    vec, m = {}, 1
+    to the basepoint, after m rounds.  The vertices where the rounds start,
+    basepoint * theta(word)^j for j < m, are appended to the list
+    ``starts`` when one is given."""
+    vec, rounds = {}, [basepoint]
     v = cover._walk(word, basepoint, vec)
     while v != basepoint:
-        if m >= cover.n_vertices:
+        if len(rounds) >= cover.n_vertices:
             raise TooLarge(f"element order exceeds guard {cover.n_vertices}")
-        v, m = cover._walk(word, v, vec), m + 1
-    return m, {e: c for e, c in vec.items() if c}
+        rounds.append(v)
+        v = cover._walk(word, v, vec)
+    if starts is not None:
+        starts.extend(rounds)
+    return len(rounds), {e: c for e, c in vec.items() if c}
 
 
 def d_primitive_predicate(d: int):
@@ -896,17 +969,26 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
     row is the negative of w's.  The elevation at b is the deck translate
     of the walk by deck_perm(b), which maps edge (v, i) to (perm[v], i).
     That holds exactly when the permutation commutes with the edge map and
-    sends 0 to b, which is checked for every b."""
+    sends 0 to b, which is checked for every b before its permutation is
+    used.
+
+    The loop at b passes through b * theta(w)^j = perm[v_j], v_j the
+    vertices where the rounds of the walk at 0 start, and it is the loop
+    at each of them.  So w is translated to b only when no basepoint
+    listed before b lies in that coset b<theta(w)>; the rows left are
+    deduplicated on their bytes, for the other coincidences."""
     if basepoints is None:
         basepoints = range(cover.n_vertices)
     basepoints = np.fromiter(basepoints, dtype=np.int64)
-    walks, walked = [], set()
+    walks, starts, walked = [], [], set()
     for word in reduced_words(cover.alphabet, max_len):
         if word.inverse().letters not in walked and predicate(word):
             walked.add(word.letters)
-            _, vec = elevation_class(cover, word, 0)
+            start = []
+            _, vec = elevation_class(cover, word, 0, start)
             if vec:
                 walks.append(vec)
+                starts.append(start)
     if not walks or not basepoints.size:
         return []
     g, tree = cover.ngens, len(cover.nontree)
@@ -914,31 +996,46 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
     width = eids.shape[1]
     pad = coeffs == 0
     verts, letters = eids // g, eids % g
+    # the round starts of each walk, padded with vertex 0, whose translate
+    # is the basepoint itself
+    rounds = np.zeros((len(starts), max(map(len, starts))), dtype=np.int64)
+    for t, start in enumerate(starts):
+        rounds[t, : len(start)] = start
+    # the position of each vertex's first listing among the basepoints, or
+    # past the end
+    first = np.full(cover.n_vertices, basepoints.size, dtype=np.int64)
+    np.minimum.at(first, basepoints, np.arange(basepoints.size))
     rows, seen = [], set()
-    chunk = max(1, _BATCH_ENTRIES // max(cover.n_vertices, eids.size))
+    chunk = max(1, _BATCH_ENTRIES // max(cover.n_vertices, rounds.size))
+    step = max(1, _BATCH_ENTRIES // width)
     for at in range(0, basepoints.size, chunk):
         bases = basepoints[at : at + chunk]
         perms = np.array([cover.deck_perm(int(b)) for b in bases], dtype=np.int64)
         cover.check_deck_perms(bases, perms)
-        # one row per (basepoint, walk): (position, coefficient) pairs sorted
-        # by the cycle position of the translated edge; tree edges and
-        # padding sort last and are cut off at the row's size.  Each row is
-        # signed so that its first coefficient is positive.
-        pos = cover.nontree_pos[perms[:, verts] * g + letters]
-        pos[:, pad] = tree
-        order = np.argsort(pos, axis=2, kind="stable")
-        pos = np.take_along_axis(pos, order, axis=2)
-        vals = np.take_along_axis(np.broadcast_to(coeffs, pos.shape), order, axis=2)
-        vals *= np.sign(vals[:, :, :1])
-        grid = np.stack((pos, vals), axis=3).reshape(-1, 2 * width)
-        sizes = np.count_nonzero(pos != tree, axis=2).ravel().tolist()
-        raw, stride = grid.tobytes(), grid.strides[0]
-        for t, k in enumerate(sizes):
-            key = raw[t * stride : t * stride + 2 * k * grid.itemsize]
-            if k and key not in seen:
-                seen.add(key)
-                pairs = grid[t, : 2 * k].tolist()
-                rows.append(dict(zip(pairs[::2], pairs[1::2])))
+        # (basepoint, walk) pairs whose coset has no basepoint listed earlier
+        cosets = first[perms[:, rounds]].min(axis=2)
+        kept = np.nonzero(cosets == np.arange(at, at + bases.size)[:, None])
+        for lo in range(0, kept[0].size, step):
+            b, t = (x[lo : lo + step] for x in kept)
+            # one row per pair: (position, coefficient) pairs sorted by the
+            # cycle position of the translated edge; tree edges and padding
+            # sort last and are cut off at the row's size.  Each row is
+            # signed so that its first coefficient is positive.
+            pos = cover.nontree_pos[perms[b[:, None], verts[t]] * g + letters[t]]
+            pos[pad[t]] = tree
+            order = np.argsort(pos, axis=1, kind="stable")
+            pos = np.take_along_axis(pos, order, axis=1)
+            vals = np.take_along_axis(coeffs[t], order, axis=1)
+            vals *= np.sign(vals[:, :1])
+            grid = np.stack((pos, vals), axis=2).reshape(-1, 2 * width)
+            sizes = np.count_nonzero(pos != tree, axis=1).tolist()
+            raw, stride = grid.tobytes(), grid.strides[0]
+            for n, k in enumerate(sizes):
+                key = raw[n * stride : n * stride + 2 * k * grid.itemsize]
+                if k and key not in seen:
+                    seen.add(key)
+                    pairs = grid[n, : 2 * k].tolist()
+                    rows.append(dict(zip(pairs[::2], pairs[1::2])))
     # shortest rows first: sparse early pivots keep the fill-in of the
     # rank elimination down
     rows.sort(key=len)

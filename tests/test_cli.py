@@ -200,18 +200,34 @@ def test_witness_e2e_reports_the_resolved_k(capsys):
 
 
 def test_witness_e2e_reports_distinct_basepoints(capsys):
-    # 50 draws on a 32-vertex cover repeat some vertices; the report counts
-    # each basepoint once, and the rank is that of all 50 draws
+    # 20 draws on a 32-vertex cover repeat some vertices; the report counts
+    # each basepoint once, and the rank is that of all 20 draws
     code, out = _run(capsys, "witness-e2e", "--r", "2", "--n", "2", "--max-word-len", "2",
-                     "--orbit-rank", "--orbit-basepoints", "50")
+                     "--orbit-rank", "--orbit-basepoints", "20")
     assert code == 0
     orbit = {c["name"]: c for c in json.loads(out)["checks"]}["orbit-span"]["details"]
     rng = random.Random(0)
-    draws = [0] + [rng.randrange(32) for _ in range(49)]
-    assert orbit["basepoints"] == len(set(draws)) < 32
+    draws = [0] + [rng.randrange(32) for _ in range(19)]
+    assert orbit["basepoints"] == len(set(draws)) < 20
     cover = covers.build_cover(covers.quotient_from_bundle(
         assemble_witness_free(2, 2, None, "sorted")))
     rank, _ = covers.orbit_span_rank(cover, covers.d_primitive_predicate(2), 5, draws)
+    assert orbit["rank"] == rank
+
+
+@pytest.mark.parametrize("count", ["32", "50"])
+def test_witness_e2e_takes_every_basepoint_from_the_group_order_on(capsys, count):
+    # a request of at least |G| = 32 is exhaustive, not 32 or 50 draws
+    # with repeats
+    code, out = _run(capsys, "witness-e2e", "--r", "2", "--n", "2", "--max-word-len", "2",
+                     "--orbit-rank", "--orbit-basepoints", count)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    orbit = checks["orbit-span"]["details"]
+    assert orbit["basepoints"] == checks["gaschutz"]["details"]["group_order"] == 32
+    cover = covers.build_cover(covers.quotient_from_bundle(
+        assemble_witness_free(2, 2, None, "sorted")))
+    rank, _ = covers.orbit_span_rank(cover, covers.d_primitive_predicate(2), 5)
     assert orbit["rank"] == rank
 
 

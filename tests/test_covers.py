@@ -235,6 +235,24 @@ def test_byte_guard_stops_the_build(monkeypatch):
         build_cover(QUOTIENTS["unit-free-r3"]())
 
 
+@pytest.mark.parametrize("make", [QUOTIENTS["perm-s5-surface"], QUOTIENTS["unit-two-factor"]],
+                         ids=["perm-s5-surface", "unit-two-factor"])
+@pytest.mark.parametrize("fold", [1, 5])
+def test_a_digest_collision_restarts_the_closure(monkeypatch, make, fold):
+    # the first closure folds the digests onto 1 or 5 values, so distinct
+    # rows share one; the check against the stored rows sees it, and the
+    # next salt builds the same cover
+    digests, salts = covers._row_digests, []
+
+    def folded(rows, salt):
+        salts.append(salt)
+        return [h % fold for h in digests(rows, salt)] if salt == 0 else digests(rows, salt)
+
+    monkeypatch.setattr(covers, "_row_digests", folded)
+    _assert_matches_reference(make())
+    assert max(salts) == 1
+
+
 def test_euler_characteristic_multiplicativity():
     rng = random.Random(77)
     for alphabet, chi_base in ((FREE2, -1), (Alphabet("surface", 2), -2), (Alphabet("surface", 3), -4)):
@@ -382,6 +400,89 @@ def _transpose(rows, ncols):
     return out
 
 
+def _planted_rows(rng, nrows, ncols):
+    """(rows, ncols): random sparse integer rows, zero values included,
+    with singletons planted: two row singletons on one column, a row that
+    owns two singleton columns, and a row singleton on a column that other
+    rows use.  Row order is shuffled."""
+    rows = [
+        {j: rng.randrange(-3, 4) for j in rng.sample(range(ncols), rng.randrange(1, min(ncols, 5)))}
+        for _ in range(nrows)
+    ]
+    a, b = rng.sample(range(ncols), 2)
+    rows += [{a: 2}, {a: -3}, {b: 7}, {b: 1, a: 4}]
+    owner = {j: rng.randrange(1, 4) for j in rng.sample(range(ncols), 2)}
+    rows.append({**owner, ncols: 1, ncols + 1: -5})
+    rng.shuffle(rows)
+    return rows, ncols + 2
+
+
+def _rest_rows(entries, shape):
+    """The entries left by _peel as sparse rows."""
+    rows = [{} for _ in range(shape[0])]
+    for i, j, c in zip(*(x.tolist() for x in entries)):
+        rows[i][j] = c
+    return rows
+
+
+def test_peel_is_exact_on_planted_singletons():
+    rng = random.Random(2024)
+    for trial in range(40):
+        rows, ncols = _planted_rows(rng, rng.randrange(3, 14), rng.randrange(3, 10))
+        expect = _rank_exact(rows, ncols)
+        k, entries, shape = covers._peel(covers._entries(rows), (len(rows), ncols))
+        # the planted column a, owner row and column b peel at least
+        assert k >= 3
+        rest = _rest_rows(entries, shape)
+        assert k + _rank_exact(rest, shape[1]) == expect
+        # the peel ran to the end: no singleton row or column is left,
+        # and the remainder is renumbered compactly
+        assert all(len(row) >= 2 for row in rest)
+        counts = np.bincount(entries[1], minlength=shape[1])
+        assert (counts >= 2).all() and len(counts) == shape[1]
+        assert rank_over_rationals(rows, ncols, seed=trial) == expect
+
+
+def test_an_all_singleton_matrix_runs_no_prime(monkeypatch):
+    # a chain peels one pivot a round, the last row singleton twice over
+    rows = [{j: j + 2, j + 1: -1} for j in range(6)] + [{6: 3}, {6: -4}, {}, {2: 0}]
+    monkeypatch.setattr(covers, "_rank_mod_p", lambda *args: pytest.fail("a prime ran"))
+    assert rank_over_rationals(rows, 8) == _rank_exact(rows, 8) == 7
+
+
+def test_disagreeing_primes_fall_back_to_the_exact_rank_of_the_remainder(monkeypatch):
+    rows, ncols = _planted_rows(random.Random(7), 12, 6)
+    # a dense 4 x 3 block on new columns, which no singleton step touches
+    rows += [{ncols + j: x + j for j in range(3)} for x in (1, 4, 7, 9)]
+    ncols += 3
+    k, entries, shape = covers._peel(covers._entries(rows), (len(rows), ncols))
+    assert k and shape[0]
+    ranks = iter([0, 1])
+    monkeypatch.setattr(covers, "_rank_mod_p", lambda *args: next(ranks))
+    exact = []
+
+    def recording(rows, ncols):
+        exact.append((rows, ncols))
+        return _rank_exact(rows, ncols)
+
+    monkeypatch.setattr(covers, "_rank_exact", recording)
+    rank = rank_over_rationals(rows, ncols)
+    assert exact == [(_rest_rows(entries, shape), shape[1])]
+    assert rank == k + _rank_exact(*exact[0]) == _rank_exact(rows, ncols)
+
+
+def test_rank_of_huge_integers_is_exact():
+    # values past int64 are reduced mod p as Python ints
+    big = 2 ** 70
+    rows = [{0: big, 1: 1, 2: 3}, {0: 1, 1: big, 2: 5}, {0: big + 1, 1: big + 1, 2: 8}, {0: 2 * big, 1: 2, 2: 6}]
+    assert rank_over_rationals(rows, 3) == _rank_exact(rows, 3) == 2
+
+
+def _rows_rank_mod_p(rows, ncols, p):
+    """_rank_mod_p of sparse rows, through their entry arrays."""
+    return _rank_mod_p(covers._entries(rows), (len(rows), ncols), p)
+
+
 @pytest.mark.parametrize("budget", [None, 40])
 def test_rank_mod_p_matches_exact_tall_wide_and_transposed(monkeypatch, budget):
     # a budget of 40 entries updates at most 2 hit rows per step, so the
@@ -395,8 +496,8 @@ def test_rank_mod_p_matches_exact_tall_wide_and_transposed(monkeypatch, budget):
         expect = _rank_exact(rows, ncols)
         assert expect == _rank_exact(cols, nrows) == rank
         for p in _RANK_PRIMES[:2]:
-            assert _rank_mod_p(rows, ncols, p) == expect
-            assert _rank_mod_p(cols, nrows, p) == expect
+            assert _rows_rank_mod_p(rows, ncols, p) == expect
+            assert _rows_rank_mod_p(cols, nrows, p) == expect
 
 
 def _reference_rank_mod_p(rows, ncols, p):
@@ -483,12 +584,12 @@ def test_rank_mod_p_matches_the_column_kernel(monkeypatch, budget):
         cols = _transpose(rows, ncols)
         for p in primes:
             expect = _reference_rank_mod_p(rows, ncols, p)
-            assert _rank_mod_p(rows, ncols, p) == expect
-            assert _rank_mod_p(cols, nrows, p) == expect
+            assert _rows_rank_mod_p(rows, ncols, p) == expect
+            assert _rows_rank_mod_p(cols, nrows, p) == expect
     # some lead was found beyond the first two scan windows
     assert max(jumps) > covers._LEAD_WINDOW * 5
     # zero rows and no columns at all: an empty matrix either way round
-    assert _rank_mod_p([{}, {}], 0, 3) == _reference_rank_mod_p([{}, {}], 0, 3) == 0
+    assert _rows_rank_mod_p([{}, {}], 0, 3) == _reference_rank_mod_p([{}, {}], 0, 3) == 0
 
 
 def _signed_key(row):
@@ -538,6 +639,30 @@ def test_orbit_rows_match_per_basepoint_walks_witness(sorted_witness_cover):
     assert _row_set(rows) == _reference_orbit_rows(cover, primitive, 3, basepoints)
 
 
+def test_orbit_rows_translate_one_basepoint_per_coset():
+    # theta(w) of order 3: the loop of w at 0 is the loop at theta(w) and
+    # at theta(w)^2, the vertices where the rounds of its walk start
+    cover = _s5_surface_cover()
+    word = GroupWord(SURF2, (1, 2, -1, 2))
+    starts = []
+    m, loop = elevation_class(cover, word, 0, starts)
+    assert starts[0] == 0 and len(starts) == m == 3
+    for j in (1, 2):
+        assert cover.walk_vec(word, starts[j - 1])[0] == starts[j]
+        assert elevation_class(cover, word, starts[j]) == (3, loop)
+    only_w = lambda w: w.letters == word.letters
+    for basepoints in (
+        [0, starts[1]],
+        [starts[2], 0, starts[1], 7],
+        [7, 7, 0, starts[1]],  # a basepoint listed twice
+        range(120),
+    ):
+        for predicate, max_len in ((only_w, 4), (d_primitive_predicate(3), 2)):
+            rows = orbit_rows(cover, predicate, max_len, basepoints)
+            assert _row_set(rows) == _reference_orbit_rows(cover, predicate, max_len, basepoints)
+    assert len(orbit_rows(cover, only_w, 4, [0, starts[1], starts[2]])) == 1
+
+
 @pytest.mark.parametrize(
     "predicate",
     [lambda word: word.letters[0] > 0, lambda word: True],
@@ -550,9 +675,9 @@ def test_orbit_rows_walk_one_word_per_inverse_pair(monkeypatch, predicate):
     cover = _s5_surface_cover()
     walked = []
 
-    def recording(cover, word, basepoint=0):
+    def recording(cover, word, *args):
         walked.append(word.letters)
-        return elevation_class(cover, word, basepoint)
+        return elevation_class(cover, word, *args)
 
     monkeypatch.setattr(covers, "elevation_class", recording)
     rows = orbit_rows(cover, predicate, 2)
@@ -572,6 +697,9 @@ def _break_deck_perm(monkeypatch, cover, fault):
     def wrong(v):
         if fault == "other_basepoint":  # a deck map, but taking 0 elsewhere
             return deck_perm((v + 1) % cover.n_vertices)
+        if fault == "constant":  # every vertex to 0, which puts every
+            # basepoint in the coset of vertex 0
+            return np.zeros(cover.n_vertices, dtype=np.int64)
         perm = deck_perm(v).copy()
         perm[[1, 2]] = perm[[2, 1]]
         return perm
@@ -579,12 +707,15 @@ def _break_deck_perm(monkeypatch, cover, fault):
     monkeypatch.setattr(cover, "deck_perm", wrong)
 
 
-@pytest.mark.parametrize("fault", ["swap", "other_basepoint"])
+@pytest.mark.parametrize("fault", ["swap", "other_basepoint", "constant"])
 def test_orbit_span_refuses_a_translate_that_is_not_a_deck_map(monkeypatch, fault):
     cover = _s5_surface_cover()
     _break_deck_perm(monkeypatch, cover, fault)
-    with pytest.raises(PropertyViolation):
-        orbit_span_rank(cover, lambda w: True, 1)
+    # without vertex 0, a constant map leaves no basepoint first in its
+    # coset: the check must come before the cosets are read
+    for basepoints in (None, range(1, 120)):
+        with pytest.raises(PropertyViolation):
+            orbit_span_rank(cover, lambda w: True, 1, basepoints)
 
 
 @pytest.mark.parametrize("fault", ["swap", "other_basepoint"])
