@@ -23,6 +23,7 @@ pair.  Elements are immutable once built and every operation is pure, so
 values can be shared freely.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -38,6 +39,13 @@ QUAT_UNIT_NAMES = ("1", "i", "j", "k")
 # Bound on the work of one inverse: term pairs multiplied, each weighted by
 # its degree + 1 (about the letters the inverse stores).
 INVERSE_GUARD = 10 ** 7
+
+# A word product goes by blocks when its term pairs reach this many per
+# pair of (degree, letter) buckets of its factors, and one term pair at a
+# time otherwise (see _mul_terms).  Blocks cost a fixed setup per product
+# and per bucket pair: they measured slower than the loop below 16 pairs
+# a bucket pair, about even from 16 to 64, and faster from 64 on.
+BLOCK_PAIRS = 64
 
 # Hamilton table i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
 # Flat-indexed by 4*l1 + l2 -> (sign, unit).  The table is validated
@@ -197,10 +205,18 @@ def iter_basis_monomials(spec: AlgebraSpec):
         layer = nxt
 
 
-def _mul_word_terms(kind, cap, aterms, bterms):
-    """Sparse word-algebra product.  Both inputs hold admissible monomials,
-    so a product monomial can only fail at the junction; over-degree pairs
-    are skipped by bucketing the right factor by degree."""
+@functools.lru_cache(maxsize=8)
+def _times_table(r):
+    """times[a][b] = a * b mod r, for a, b in [0, r)."""
+    return tuple(tuple(a * b % r for b in range(r)) for a in range(r))
+
+
+def _mul_word_loop(spec, top, aterms, bterms):
+    """Sparse word-algebra product, one term pair at a time.  Both inputs
+    hold admissible monomials, so a product monomial can only fail at the
+    junction; over-degree pairs are skipped by bucketing the right factor
+    by degree."""
+    kind, r = spec.kind, spec.r
     bydeg = {}
     for mb, cb in bterms.items():
         bydeg.setdefault(len(mb), []).append((mb, cb))
@@ -209,7 +225,7 @@ def _mul_word_terms(kind, cap, aterms, bterms):
     get = out.get
     for ma, ca in aterms.items():
         la = len(ma)
-        lim = cap - la
+        lim = top - la
         if kind == "free" or not la:
             for db in bdegs:
                 if db > lim:
@@ -237,10 +253,66 @@ def _mul_word_terms(kind, cap, aterms, bterms):
                         continue
                     key = ma + mb
                     out[key] = get(key, 0) + ca * cb
+    reduced = {}
+    for mono, c in out.items():
+        c %= r
+        if c:
+            reduced[mono] = c
+    return reduced
+
+
+def _word_buckets(spec, terms, last):
+    """Word terms grouped by degree and their last (``last``) or first
+    letter, as a bytes slice: {(degree, slice): (monomials,
+    coefficients)}.  The slice is empty for the empty word and for every
+    word of the free kind, whose junctions are all admissible."""
+    split = spec.kind != "free"
+    out = {}
+    for mono, c in terms.items():
+        key = (len(mono), (mono[-1:] if last else mono[:1]) if split else b"")
+        group = out.get(key)
+        if group is None:
+            out[key] = ([mono], [c])
+        else:
+            group[0].append(mono)
+            group[1].append(c)
     return out
 
 
-def _mul_quat_terms(cap, aterms, bterms):
+def _mul_word_blocks(spec, top, left, right):
+    """Word-algebra product of the left factor bucketed by (degree, last
+    letter) and the right factor by (degree, first letter).
+
+    Within one left degree d every product monomial splits one way only,
+    as its first d letters times the rest, and no product of coefficients
+    in [1, r) vanishes mod the prime r.  So each admissible bucket pair is
+    written whole into that degree's part, and only the parts of different
+    left degrees are added, mod r, dropping zeros."""
+    r, adjacent_ok = spec.r, spec.adjacent_ok
+    times = _times_table(r)
+    parts = {}
+    for (la, last), (amonos, acoeffs) in left.items():
+        part = parts.setdefault(la, {})
+        for (lb, first), (bmonos, bcoeffs) in right.items():
+            if la + lb > top or (last and first and not adjacent_ok(last[0], first[0])):
+                continue
+            part.update(zip(
+                [x + y for x in amonos for y in bmonos],
+                [row[cb] for ca in acoeffs for row in (times[ca],) for cb in bcoeffs],
+            ))
+    out, *rest = sorted(parts.values(), key=len, reverse=True)
+    for part in rest:
+        get = out.get
+        for mono, c in part.items():
+            s = (get(mono, 0) + c) % r
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
+
+
+def _mul_quat_terms(r, top, aterms, bterms):
     bydeg = {}
     for mb, cb in bterms.items():
         bydeg.setdefault(mb[0] + mb[1], []).append((mb, cb))
@@ -249,7 +321,7 @@ def _mul_quat_terms(cap, aterms, bterms):
     get = out.get
     qmul = _QMUL
     for (u1, v1, l1), ca in aterms.items():
-        lim = cap - u1 - v1
+        lim = top - u1 - v1
         base = 4 * l1
         for db in bdegs:
             if db > lim:
@@ -261,28 +333,31 @@ def _mul_quat_terms(cap, aterms, bterms):
                 sign, unit = qmul[base + l2]
                 key = (u1 + u2, v, unit)
                 out[key] = get(key, 0) + sign * ca * cb
-    return out
+    reduced = {}
+    for mono, c in out.items():
+        c %= r
+        if c:
+            reduced[mono] = c
+    return reduced
 
 
 def _mul_terms(spec, aterms, bterms, top=None):
-    """Unreduced product of two term maps, by the spec's kernel, keeping
-    the degrees <= ``top`` (default the truncation degree D)."""
+    """Product of two term maps with coefficients in [1, r), by the spec's
+    kernel, keeping the degrees <= ``top`` (default the truncation degree
+    D).  The result's coefficients are reduced mod r, zeros dropped.
+
+    Word products with at least ``BLOCK_PAIRS`` term pairs per pair of
+    buckets go by :func:`_mul_word_blocks`; every other product, the
+    quaternion ones included, goes one term pair at a time."""
     top = spec.cap if top is None else top
     if spec.kind == "quat":
-        return _mul_quat_terms(top, aterms, bterms)
-    return _mul_word_terms(spec.kind, top, aterms, bterms)
-
-
-def _reduced(spec, raw):
-    """A product's unreduced term map as an element: coefficients mod r,
-    zeros dropped."""
-    r = spec.r
-    out = {}
-    for mono, c in raw.items():
-        c %= r
-        if c:
-            out[mono] = c
-    return AlgElement._raw(spec, out)
+        return _mul_quat_terms(spec.r, top, aterms, bterms)
+    pairs = len(aterms) * len(bterms)
+    if pairs >= BLOCK_PAIRS:
+        left, right = _word_buckets(spec, aterms, True), _word_buckets(spec, bterms, False)
+        if pairs >= BLOCK_PAIRS * len(left) * len(right):
+            return _mul_word_blocks(spec, top, left, right)
+    return _mul_word_loop(spec, top, aterms, bterms)
 
 
 class AlgElement:
@@ -395,7 +470,7 @@ class AlgElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _reduced(self.spec, _mul_terms(self.spec, self.terms, other.terms))
+        return AlgElement._raw(self.spec, _mul_terms(self.spec, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -582,7 +657,7 @@ class AlgElement:
     def from_dict(cls, spec, data):
         """Inverse of :meth:`to_dict`: each term is a [monomial,
         coefficient] pair, a monomial a list of integers and its
-        coefficient an integer."""
+        coefficient an integer.  A monomial may appear only once."""
         terms = {}
         for term in data["monomials"]:
             if type(term) is not list or len(term) != 2:
@@ -591,7 +666,10 @@ class AlgElement:
             integral = isinstance(mono, list) and all(type(x) is int for x in mono)
             if not integral or type(coeff) is not int:
                 raise InvalidConfig(f"monomial {mono!r} * {coeff!r} is not integral")
-            terms[spec.mono_key(mono)] = coeff
+            key = spec.mono_key(mono)
+            if key in terms:
+                raise InvalidConfig(f"monomial {mono!r} appears more than once")
+            terms[key] = coeff
         return cls(spec, terms)
 
 
@@ -633,7 +711,7 @@ def truncated_product(a: AlgElement, b: AlgElement, top: int) -> AlgElement:
         return a * b
     if b.spec != spec:
         raise SpecMismatch(f"{b.spec} != {spec}")
-    return _reduced(spec, _mul_terms(spec, a.terms, b.terms, top))
+    return AlgElement._raw(spec, _mul_terms(spec, a.terms, b.terms, top))
 
 
 def _digit_plan(spec: AlgebraSpec, e: int):

@@ -178,13 +178,12 @@ class UnitImage:
             for a in monos:  # the list grows as the closure finds monomials
                 for img, (src, dst, coeff) in zip(images, tables):
                     for b, c in _mul_terms(spec, {a: 1}, img.units[f].terms).items():
-                        if c % spec.r:
-                            if b not in at:
-                                at[b] = len(monos)
-                                monos.append(b)
-                            src.append(base + at[a])
-                            dst.append(base + at[b])
-                            coeff.append(c % spec.r)
+                        if b not in at:
+                            at[b] = len(monos)
+                            monos.append(b)
+                        src.append(base + at[a])
+                        dst.append(base + at[b])
+                        coeff.append(c)
                 entries = sum(len(t[0]) for t in tables)
                 if 24 * entries + 128 * (base + len(monos)) > ROW_BYTES_GUARD:
                     raise TooLarge(

@@ -19,7 +19,13 @@ from coverhom import (
     symbol,
     zero,
 )
-from coverhom.algebra import count_basis_monomials, iter_basis_monomials, monomial_ok
+from coverhom.algebra import (
+    count_basis_monomials,
+    iter_basis_monomials,
+    monomial_ok,
+    truncate,
+    truncated_product,
+)
 
 ALL_SPECS = [
     free_spec(3, 1, 2),
@@ -354,6 +360,50 @@ def test_serialisation_round_trip():
         g = random_element(spec, rng, max_terms=5)
         assert AlgElement.from_dict(spec, g.to_dict()) == g
         assert isinstance(g.canonical_bytes(), bytes)
+
+
+def test_from_dict_refuses_a_repeated_monomial():
+    spec = free_spec(3, 1, 2)
+    with pytest.raises(InvalidConfig, match=r"monomial \[0\] appears more than once"):
+        AlgElement.from_dict(spec, {"monomials": [[[0], 1], [[0], 1]]})
+    with pytest.raises(InvalidConfig, match=r"monomial \[\] appears more than once"):
+        AlgElement.from_dict(spec, {"monomials": [[[], 1], [[0], 1], [[], 2]]})
+    q = quat_spec(3, 1)
+    with pytest.raises(InvalidConfig, match="appears more than once"):
+        AlgElement.from_dict(q, {"monomials": [[[1, 0, 2], 1], [[1, 0, 2], 2]]})
+
+
+def _unit_part(a):
+    """1 + the positive-degree part of ``a``: a unit of every kind."""
+    return one(a.spec) + (a - a.graded_part(0))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_operations_keep_coefficients_in_range(spec):
+    # the block product indexes an r x r table by coefficients, so every
+    # operation must hand on terms with coefficients in [1, r)
+    rng = random.Random(ALL_SPECS.index(spec))
+    r, cap = spec.r, spec.cap
+    ops = [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: -a,
+        lambda a, b: a * b,
+        lambda a, b: a * rng.randrange(-2 * r, 2 * r),
+        lambda a, b: power(a, rng.randrange(0, 2 * r + 2)),
+        lambda a, b: power(_unit_part(a) * rng.randrange(1, r), -rng.randrange(1, r + 2)),
+        lambda a, b: _unit_part(a).inverse_unit(),
+        lambda a, b: truncate(a, rng.randrange(cap + 1)),
+        lambda a, b: truncated_product(a, b, rng.randrange(cap + 1)),
+    ]
+    pool = [random_element(spec, rng, max_terms=4) for _ in range(4)]
+    for _ in range(150):
+        a, b = rng.choice(pool), rng.choice(pool)
+        c = rng.choice(ops)(a, b)
+        assert all(type(v) is int and 0 < v < r for v in c.terms.values()), c
+        if len(c.terms) > 400:  # keep the chain cheap
+            c = random_element(spec, rng, max_terms=4)
+        pool[rng.randrange(len(pool))] = c
 
 
 def test_canonical_bytes_distinguishes():

@@ -403,6 +403,22 @@ def test_quotient_monomial_out_of_byte_range_exits_two(tmp_path, capsys):
     assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
 
 
+def test_quotient_repeated_monomial_exits_two(tmp_path, capsys):
+    # the image could mean 1 + X1 or 1 + 2*X1, so it is refused
+    quotient = {
+        "domain": "free",
+        "rank": 1,
+        "type": "unit",
+        "algebra": {"kind": "free", "r": 3, "k": 1, "ngens": 1},
+        "images": [{"monomials": [[[], 1], [[0], 1], [[0], 1]]}],
+    }
+    assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "monomial [0] appears more than once" in lines[0]
+
+
 def test_quotient_residue_lengths_differ_exits_two(tmp_path, capsys):
     # mixed lengths would be zipped and the longer vector truncated
     quotient = {"domain": "free", "rank": 2, "type": "residue", "mod": 3, "images": [[1], [1, 2]]}
