@@ -20,6 +20,7 @@ numpy imports without a BLAS thread pool that ``covers`` would never use.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -76,16 +77,23 @@ def _emit(report, out_path):
             fh.write(text + "\n")
 
 
-def _load_quotient(path):
-    from . import covers
-
+@contextlib.contextmanager
+def _quotient_file(path, errors=InvalidConfig):
+    """Turn the given errors raised in the block into InvalidConfig naming
+    the quotient file at path."""
     try:
-        with open(path) as fh:
-            return covers.quotient_from_json(json.load(fh))
-    except (ValueError, KeyError, TypeError) as exc:
+        yield
+    except errors as exc:
         # schema errors name their field; anything else names its type
         why = exc if isinstance(exc, InvalidConfig) else f"{type(exc).__name__}: {exc}"
         raise InvalidConfig(f"bad quotient file {path}: {why}") from exc
+
+
+def _load_quotient(path):
+    from . import covers
+
+    with _quotient_file(path, (ValueError, KeyError, TypeError)), open(path) as fh:
+        return covers.quotient_from_json(json.load(fh))
 
 
 def orbit_rank(cover, predicate, max_len, seed, guard_dim, vertices=None,
@@ -190,9 +198,17 @@ def cmd_cover_report(args, report):
                 f"--theta {args.theta} is a quotient of the {_group(theta.alphabet)}, "
                 f"--quotient {args.quotient} of the {_group(quotient.alphabet)}"
             )
+        # theta's cover comes first: its refusals stop the run before any check
+        with _quotient_file(args.theta):
+            predicate = covers.nonkernel_predicate(theta, args.guard_vertices)
     elif args.theta is not None:
         raise InvalidConfig("--theta is read only with --orbit theta-nonkernel")
-    cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
+    elif args.orbit == "d-primitive":
+        predicate = covers.d_primitive_predicate(args.d)
+    else:
+        predicate = lambda word: True
+    with _quotient_file(args.quotient):
+        cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
     report["config"] = {
         "quotient": args.quotient,
         "orbit": args.orbit,
@@ -203,12 +219,6 @@ def cmd_cover_report(args, report):
     checks = report["checks"]
     _timed(checks, "gaschutz", covers.gaschutz_check, cover, args.seed)
     if args.orbit:
-        if args.orbit == "d-primitive":
-            predicate = covers.d_primitive_predicate(args.d)
-        elif args.orbit == "theta-nonkernel":
-            predicate = covers.nonkernel_predicate(theta)
-        else:
-            predicate = lambda word: True
         _timed(checks, "orbit-span", orbit_rank, cover, predicate, args.max_word_len,
                args.seed, args.guard_dim, orbit=args.orbit)
 

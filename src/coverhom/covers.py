@@ -20,6 +20,12 @@ of each row.  The row dtype is the narrowest that holds every residue
 exactly.  The rows held may not pass ``ROW_BYTES_GUARD`` bytes, nor the
 vertices the caller's vertex guard: either stops the build with TooLarge.
 
+Rows are the one representation of a group element; the image classes
+only validate their input and give the row code.  Any later question
+about a word is a walk on the Cayley graph, whose lift from v ends at
+v * theta(word): the relator must close from vertex 0, and a word is
+off the kernel of theta when its walk on theta's cover leaves 0.
+
 Homology is computed in the fundamental-cycle coordinates of a BFS
 spanning tree: a cycle is determined by its coefficients on the non-tree
 edges, and in the surface case classes are taken modulo the rows of the
@@ -45,7 +51,6 @@ in C off ker psi.  Cyclotomic arithmetic is exact, in the power basis of
 Z[omega] modulo the d-th cyclotomic polynomial.
 """
 
-import operator
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -85,21 +90,6 @@ class PermImage:
             raise InvalidConfig(f"not a permutation: {mapping}")
         self.map = mapping
 
-    def mul(self, other):
-        return PermImage(tuple(self.map[j] for j in other.map))
-
-    def inverse(self):
-        inv = [0] * len(self.map)
-        for i, j in enumerate(self.map):
-            inv[j] = i
-        return PermImage(tuple(inv))
-
-    def identity_like(self):
-        return PermImage(tuple(range(len(self.map))))
-
-    def key(self):
-        return self.map
-
     def row_code(self, images):
         """Rows are point maps; x * g gathers the points of x by g's map."""
         deg = len(self.map)
@@ -118,30 +108,17 @@ class ResidueImage:
         self.vec = tuple(v % mod for v in vec)
         self.mod = mod
 
-    def mul(self, other):
-        return ResidueImage(
-            tuple(a + b for a, b in zip(self.vec, other.vec)), self.mod
-        )
-
-    def inverse(self):
-        return ResidueImage(tuple(-a for a in self.vec), self.mod)
-
-    def identity_like(self):
-        return ResidueImage((0,) * len(self.vec), self.mod)
-
-    def key(self):
-        return self.vec
-
     def row_code(self, images):
         """Rows are residue vectors; x * g adds g's vector mod m."""
         t = len(self.vec)
         cols = range(t)
-        return RowCode(self.vec, [self.mod] * t, [(cols, cols, [1] * t, img.vec) for img in images])
+        return RowCode([0] * t, [self.mod] * t, [(cols, cols, [1] * t, img.vec) for img in images])
 
 
 class UnitImage:
-    """Tuple of units of truncated algebras, one per factor, multiplied
-    componentwise and hashed by their canonical term lists."""
+    """Tuple of units of truncated algebras, one per factor; the group is
+    their componentwise product, taken on rows by the tables of
+    ``row_code``."""
 
     __slots__ = ("units",)
 
@@ -149,18 +126,6 @@ class UnitImage:
         self.units = tuple(units)
         if not all(map(AlgElement.is_unit_element, self.units)):
             raise InvalidConfig("cover images must be units with degree-0 part 1")
-
-    def mul(self, other):
-        return UnitImage(map(operator.mul, self.units, other.units))
-
-    def inverse(self):
-        return UnitImage(map(AlgElement.inverse_unit, self.units))
-
-    def identity_like(self):
-        return UnitImage(AlgElement.one(g.spec) for g in self.units)
-
-    def key(self):
-        return tuple(map(AlgElement.canonical_key, self.units))
 
     def row_code(self, images):
         """Rows are coefficient vectors, factor after factor, over the
@@ -258,7 +223,8 @@ def _disjoint_groups(src, dst, coeff, fan_in):
 @dataclass
 class FiniteQuotient:
     """Generator images in a concrete finite group; the group itself is
-    discovered by closure.  Surface quotients must kill the relator."""
+    discovered by closure in :func:`build_cover`, which also refuses a
+    surface quotient that does not kill the relator."""
 
     alphabet: Alphabet
     images: tuple
@@ -269,31 +235,11 @@ class FiniteQuotient:
             raise InvalidConfig(
                 f"need {self.alphabet.ngens} generator images, got {len(self.images)}"
             )
-        self._invs = tuple(img.inverse() for img in self.images)
-        self.identity = self.images[0].identity_like()
-        if self.alphabet.kind == "surface":
-            rel = self.evaluate(surface_relator(self.alphabet.rank))
-            if rel.key() != self.identity.key():
-                raise InvalidConfig("generator images do not kill the surface relator")
 
-    def evaluate(self, word: GroupWord):
-        acc = self.identity
-        for letter in word.letters:
-            acc = acc.mul(
-                self.images[letter - 1] if letter > 0 else self._invs[-letter - 1]
-            )
-        return acc
-
-    def element_order(self, img, guard=10 ** 6) -> int:
-        ident = self.identity.key()
-        acc = img
-        m = 1
-        while acc.key() != ident:
-            acc = acc.mul(img)
-            m += 1
-            if m > guard:
-                raise TooLarge(f"element order exceeds guard {guard}")
-        return m
+    def element_order(self, word: GroupWord) -> int:
+        """The order of theta(word), read off the cover.  Only the
+        benchmark tracer reads it, which patches it by name."""
+        return elevation_class(build_cover(self), word)[0]
 
 
 def quotient_from_bundle(bundle: WitnessBundle) -> FiniteQuotient:
@@ -561,13 +507,10 @@ class CoverComplex:
             return []
         if self._boundary_rows is None:
             relator = surface_relator(self.alphabet.rank)
-            rows = []
-            for v in range(self.n_vertices):
-                end, vec = self.walk_vec(relator, basepoint=v)
-                if end != v:
-                    raise PropertyViolation(f"relator walk from {v} is not closed")
-                rows.append(self.restrict_to_cycles(vec))
-            self._boundary_rows = rows
+            self._boundary_rows = [
+                self.restrict_to_cycles(self.walk_vec(relator, basepoint=v)[1])
+                for v in range(self.n_vertices)
+            ]
         return self._boundary_rows
 
     def dim_h1(self, seed: int = 0) -> int:
@@ -594,11 +537,16 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
     salt, which changes every digest but no vertex number.  After every
     chunk the build stops with TooLarge if the vertices pass
     ``guard_vertices`` or their rows ``ROW_BYTES_GUARD`` bytes; everything
-    else it holds is a chunk's temporaries or a few words a vertex."""
-    code = quotient.identity.row_code(quotient.images)
+    else it holds is a chunk's temporaries or a few words a vertex.  Then a
+    surface quotient is refused with InvalidConfig unless the relator's
+    walk from vertex 0, which ends at theta(relator), closes."""
+    code = quotient.images[0].row_code(quotient.images)
     salt = 0
     while (cover := _closure(quotient, code, guard_vertices, salt)) is None:
         salt += 1
+    alphabet = quotient.alphabet
+    if alphabet.kind == "surface" and cover._walk(surface_relator(alphabet.rank), 0, {}):
+        raise InvalidConfig("generator images do not kill the surface relator")
     return cover
 
 
@@ -937,9 +885,11 @@ def count_d_primitive_words(alphabet: Alphabet, max_len: int, d: int) -> int:
     return total
 
 
-def nonkernel_predicate(theta: FiniteQuotient):
-    ident = theta.identity.key()
-    return lambda word: theta.evaluate(word).key() != ident
+def nonkernel_predicate(theta: FiniteQuotient, guard_vertices: int = 10 ** 5):
+    """The words off the kernel of theta: their walk on theta's cover,
+    built once here under ``guard_vertices``, does not return to 0."""
+    cover = build_cover(theta, guard_vertices)
+    return lambda word: cover._walk(word, 0, {}) != 0
 
 
 def _stack_walks(walks):
@@ -1329,7 +1279,7 @@ def isotypic_projection_check(
     # the padding letter ngens stays put
     steps = np.column_stack((cover.targets, np.arange(cover.n_vertices)))
 
-    def mul(x, y):
+    def product(x, y):
         for letters in words[y].T:
             x = steps[x, letters]
         return x
@@ -1338,10 +1288,10 @@ def isotypic_projection_check(
     power, base, e = np.zeros_like(primitive), primitive, exponent
     while e:
         if e & 1:
-            power = mul(power, base)
+            power = product(power, base)
         e >>= 1
         if e:
-            base = mul(base, base)
+            base = product(base, base)
     ok = (proj.orbit[power] == proj.orbit[0]) & (proj.phase[power] != 0)
     if not ok.all():
         v = int(primitive[np.argmin(ok)])

@@ -365,11 +365,52 @@ def test_theta_quotient_is_refused_before_the_cover(
         (tmp_path / "t.json").write_text(json.dumps(theta))
         argv += ["--theta", str(tmp_path / "t.json")]
     monkeypatch.setattr(covers, "build_cover", lambda *args, **kwargs: pytest.fail("cover built"))
+    _one_line_refusal(capsys, argv, message)
+
+
+def _one_line_refusal(capsys, argv, *needles):
+    """Run argv: exit 2, no report, and one stderr line holding the needles."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and message in lines[0]
+    assert len(lines) == 1 and all(needle in lines[0] for needle in needles), lines
+
+
+def test_theta_past_the_vertex_guard_is_refused_before_any_check(tmp_path, capsys):
+    # theta onto Z/7 has 7 vertices; the quotient's 3 fit the guard of 5
+    (tmp_path / "q.json").write_text(json.dumps(RESIDUE))
+    (tmp_path / "t.json").write_text(json.dumps({**RESIDUE, "mod": 7}))
+    _one_line_refusal(
+        capsys,
+        ["cover-report", "--quotient", str(tmp_path / "q.json"), "--orbit", "theta-nonkernel",
+         "--theta", str(tmp_path / "t.json"), "--guard-vertices", "5"],
+        "vertex guard 5",
+    )
+
+
+# genus 2: x1 -> a, y1 -> b, x2, y2 -> 1, with [a, b] != 1 in S_3
+UNKILLED = {"domain": "surface", "genus": 2, "type": "perm",
+            "images": [[1, 2, 0], [1, 0, 2], [0, 1, 2], [0, 1, 2]]}
+
+
+def test_quotient_not_killing_the_relator_names_its_file(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(UNKILLED))
+    _one_line_refusal(capsys, ["cover-report", "--quotient", str(path)],
+                      f"bad quotient file {path}:", "do not kill the surface relator")
+
+
+def test_theta_not_killing_the_relator_names_its_file(tmp_path, capsys):
+    (tmp_path / "q.json").write_text(json.dumps(S5))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(UNKILLED))
+    _one_line_refusal(
+        capsys,
+        ["cover-report", "--quotient", str(tmp_path / "q.json"), "--orbit", "theta-nonkernel",
+         "--theta", str(path)],
+        f"bad quotient file {path}:", "do not kill the surface relator",
+    )
 
 
 def test_bad_primes_exit_two_with_one_line(capsys):

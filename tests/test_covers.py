@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import random
 
 import numpy as np
@@ -102,9 +103,10 @@ def test_surface_quotient_must_kill_relator():
     # x1 -> a, y1 -> b, x2 -> 1, y2 -> 1 with [a, b] != 1
     a = PermImage((1, 2, 0))
     b = PermImage((1, 0, 2))
-    ident = a.identity_like()
-    with pytest.raises(InvalidConfig):
-        FiniteQuotient(SURF2, (a, b, ident, ident))
+    ident = _identity(a)
+    q = FiniteQuotient(SURF2, (a, b, ident, ident))
+    with pytest.raises(InvalidConfig, match="do not kill the surface relator"):
+        build_cover(q)
 
 
 def test_vertex_guard():
@@ -113,17 +115,77 @@ def test_vertex_guard():
         build_cover(q, guard_vertices=5)
 
 
+# The algebra of generator images, kept as test oracles: products,
+# inverses and identities of images of one kind, and a canonical key per
+# element.  The library holds group elements as rows on the Cayley graph.
+
+
+def _mul(x, y):
+    if isinstance(x, PermImage):
+        return PermImage(tuple(x.map[j] for j in y.map))
+    if isinstance(x, ResidueImage):
+        return ResidueImage(tuple(a + b for a, b in zip(x.vec, y.vec)), x.mod)
+    return UnitImage(map(operator.mul, x.units, y.units))
+
+
+def _inverse(x):
+    if isinstance(x, PermImage):
+        inv = [0] * len(x.map)
+        for i, j in enumerate(x.map):
+            inv[j] = i
+        return PermImage(tuple(inv))
+    if isinstance(x, ResidueImage):
+        return ResidueImage(tuple(-a for a in x.vec), x.mod)
+    return UnitImage(map(AlgElement.inverse_unit, x.units))
+
+
+def _identity(x):
+    if isinstance(x, PermImage):
+        return PermImage(tuple(range(len(x.map))))
+    if isinstance(x, ResidueImage):
+        return ResidueImage((0,) * len(x.vec), x.mod)
+    return UnitImage(AlgElement.one(g.spec) for g in x.units)
+
+
+def _key(x):
+    if isinstance(x, PermImage):
+        return x.map
+    if isinstance(x, ResidueImage):
+        return x.vec
+    return tuple(map(AlgElement.canonical_key, x.units))
+
+
+def _evaluate(quotient, word):
+    """theta(word), one product in the algebra per letter."""
+    acc = _identity(quotient.images[0])
+    for letter in word.letters:
+        img = quotient.images[abs(letter) - 1]
+        acc = _mul(acc, img if letter > 0 else _inverse(img))
+    return acc
+
+
+def _algebraic_order(x, guard=10 ** 6):
+    """The order of the image x, by repeated products."""
+    ident, acc, m = _key(_identity(x)), x, 1
+    while _key(acc) != ident:
+        acc = _mul(acc, x)
+        m += 1
+        assert m <= guard, "element order exceeds the guard"
+    return m
+
+
 def _reference_cover(quotient):
     """The per-element closure the row BFS replaced, kept as an oracle:
     one product in the group and one canonical key per edge.  Returns
     (elements, targets, tree_parent, nontree)."""
-    elements, index = [quotient.identity], {quotient.identity.key(): 0}
+    ident = _identity(quotient.images[0])
+    elements, index = [ident], {_key(ident): 0}
     tree_parent, targets = [None], []
     for v, elem in enumerate(elements):  # the list grows as vertices are found
         row = []
         for i, img in enumerate(quotient.images):
-            nxt = elem.mul(img)
-            key = nxt.key()
+            nxt = _mul(elem, img)
+            key = _key(nxt)
             if key not in index:
                 index[key] = len(elements)
                 elements.append(nxt)
@@ -140,11 +202,11 @@ def _reference_cover(quotient):
 
 def _elements(cover):
     """The group element of each vertex, decoded from its row."""
-    ident = cover.quotient.identity
-    if isinstance(ident, PermImage):
+    image = cover.quotient.images[0]
+    if isinstance(image, PermImage):
         return [PermImage(row) for row in cover.rows.tolist()]
-    if isinstance(ident, ResidueImage):
-        return [ResidueImage(row, ident.mod) for row in cover.rows.tolist()]
+    if isinstance(image, ResidueImage):
+        return [ResidueImage(row, image.mod) for row in cover.rows.tolist()]
     return [UnitImage(cover.code.units(row)) for row in cover.rows]
 
 
@@ -154,7 +216,7 @@ def _assert_matches_reference(quotient):
     assert cover.targets.tolist() == targets
     assert cover.tree_parent == tree_parent
     assert cover.nontree == nontree
-    assert [e.key() for e in _elements(cover)] == [e.key() for e in elements]
+    assert list(map(_key, _elements(cover))) == list(map(_key, elements))
     return cover
 
 
@@ -321,7 +383,7 @@ def test_word_orders_from_the_graph_match_the_algebra(sorted_witness_cover):
         quotient = cover.quotient
         for word in reduced_words(cover.alphabet, 4):
             m, _ = elevation_class(cover, word, 0)
-            assert m == quotient.element_order(quotient.evaluate(word)), word.render()
+            assert m == _algebraic_order(_evaluate(quotient, word)), word.render()
 
 
 def test_fundamental_cycles_are_cycles():
@@ -736,9 +798,9 @@ def _reference_deck_perms(cover, vertices):
     the group on the elements decoded from the rows, composed along each
     vertex's tree word."""
     elements = _elements(cover)
-    index = {elem.key(): v for v, elem in enumerate(elements)}
+    index = {_key(elem): v for v, elem in enumerate(elements)}
     left = [
-        np.array([index[img.mul(elem).key()] for elem in elements])
+        np.array([index[_key(_mul(img, elem))] for elem in elements])
         for img in cover.quotient.images
     ]
     for v in vertices:
@@ -775,6 +837,36 @@ def test_full_group_spans_everything():
     c = _z3_free_cover()
     rank, dim = orbit_span_rank(c, lambda w: True, 3)
     assert rank == dim == 4
+
+
+def test_nonkernel_predicate_matches_the_algebra():
+    rng = random.Random(1907)
+    thetas = [random_quotient(alphabet, rng) for alphabet in (FREE2, SURF2) for _ in range(3)]
+    thetas.append(QUOTIENTS["unit-m-r3"]())
+    for theta in thetas:
+        pred = nonkernel_predicate(theta)
+        ident = _key(_identity(theta.images[0]))
+        for word in reduced_words(theta.alphabet, 4):
+            assert pred(word) == (_key(_evaluate(theta, word)) != ident), word.render()
+
+
+def test_no_algebra_product_after_the_row_code(monkeypatch):
+    images = QUOTIENTS["unit-two-factor"]().images
+    theta_images = QUOTIENTS["unit-m-r3"]().images
+    theta = FiniteQuotient(FREE2, theta_images)
+    words = list(reduced_words(FREE2, 3))
+    ident = _key(_identity(theta_images[0]))
+    expect = [_key(_evaluate(theta, word)) != ident for word in words]
+    order = len(_reference_cover(FiniteQuotient(FREE2, images))[0])
+
+    def refuse(*args):
+        raise AssertionError("a product in the algebra after the row code")
+
+    monkeypatch.setattr(AlgElement, "__mul__", refuse)
+    monkeypatch.setattr(AlgElement, "inverse_unit", refuse)
+    assert build_cover(FiniteQuotient(FREE2, images)).n_vertices == order
+    pred = nonkernel_predicate(FiniteQuotient(FREE2, theta_images))
+    assert list(map(pred, words)) == expect
 
 
 def test_observation_18_coprime_full_span():
