@@ -368,7 +368,7 @@ class AlgElement:
     terms)``; arithmetic goes through the overloaded operators.
     """
 
-    __slots__ = ("spec", "terms", "_key")
+    __slots__ = ("spec", "terms")
 
     def __init__(self, spec: AlgebraSpec, terms: dict):
         reduced = {}
@@ -382,14 +382,12 @@ class AlgElement:
                 reduced[mono] = (reduced.get(mono, 0) + c) % spec.r
         self.spec = spec
         self.terms = {m: c for m, c in reduced.items() if c}
-        self._key = None
 
     @classmethod
     def _raw(cls, spec, terms):
         elem = cls.__new__(cls)
         elem.spec = spec
         elem.terms = terms
-        elem._key = None
         return elem
 
     # -- constructors ------------------------------------------------
@@ -491,7 +489,7 @@ class AlgElement:
         return bool(self.terms)
 
     def __hash__(self):
-        return hash((self.spec, self.canonical_key()))
+        return hash((self.spec, frozenset(self.terms.items())))
 
     # -- structure maps ----------------------------------------------
 
@@ -583,22 +581,6 @@ class AlgElement:
         """Terms sorted in graded-lex monomial order."""
         key = self.spec.order_key
         return sorted(self.terms.items(), key=lambda item: key(item[0]))
-
-    def canonical_key(self):
-        if self._key is None:
-            self._key = tuple(self.canonical_items())
-        return self._key
-
-    def canonical_bytes(self) -> bytes:
-        """Bit-exact serialisation: length-prefixed monomial byte strings."""
-        chunks = []
-        for mono, coeff in self.canonical_items():
-            if self.spec.kind == "quat":
-                u, v, l = mono
-                chunks.append(u.to_bytes(2, "little") + bytes([v, l, coeff]))
-            else:
-                chunks.append(len(mono).to_bytes(2, "little") + mono + bytes([coeff]))
-        return b"".join(chunks)
 
     def render(self) -> str:
         """Canonical text form, e.g. ``1 + 2*X1 + X1.X2``."""

@@ -246,21 +246,22 @@ def cmd_witness_e2e(args, report):
     quotient = covers.quotient_from_bundle(bundle)
     cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
     _timed(checks, "gaschutz", covers.gaschutz_check, cover, args.seed)
-    # the projector certifies its central slice as it is built; a
-    # violation there fails the invariants check, and no certificate
-    # follows
-    t0 = time.perf_counter()
-    try:
-        proj = covers.IsotypicProjector(cover, *covers.central_slice(cover, bundle), bundle.modulus)
-    except PropertyViolation as exc:
-        details = {"error": str(exc), "counterexample": exc.counterexample}
-        checks.append(_record("isotypic-invariants", "fail", details, time.perf_counter() - t0))
-        projection = None
-    else:
-        _timed(checks, "isotypic-invariants", covers.isotypic_invariants, proj,
-               samples=3, seed=args.seed)
+    # the projector certifies its central slice as it is built, inside the
+    # invariants check: a violation there fails that check, and no
+    # certificate follows
+    built = []
+
+    def invariants():
+        built.append(covers.IsotypicProjector(cover, *covers.central_slice(cover, bundle),
+                                              bundle.modulus))
+        return covers.isotypic_invariants(built[0], samples=3, seed=args.seed)
+
+    _timed(checks, "isotypic-invariants", invariants)
+    projection = None
+    if built:
         projection = _timed(checks, "isotypic-projection", covers.isotypic_projection_check,
-                            proj, bundle.exponent, max_word_len=args.max_word_len, seed=args.seed)
+                            built[0], bundle.exponent, max_word_len=args.max_word_len,
+                            seed=args.seed)
     if args.orbit_rank:
         if args.orbit_basepoints >= cover.n_vertices:
             # exhaustive: the report's basepoints is then the group order

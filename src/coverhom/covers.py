@@ -26,14 +26,15 @@ about a word is a walk on the Cayley graph, whose lift from v ends at
 v * theta(word): the relator must close from vertex 0, and a word is
 off the kernel of theta when its walk on theta's cover leaves 0.
 
-Homology is computed in the fundamental-cycle coordinates of a BFS
-spanning tree: a cycle is determined by its coefficients on the non-tree
-edges, and in the surface case classes are taken modulo the rows of the
-2-cell boundary map.  A rank is k + r.  The k pivots come from singleton
-rows and columns, with no arithmetic, and are exact over Q.  r is the
-rank of the rest modulo a random 31-bit prime, which is only a lower
-bound on its rank over Q; a second independent prime must agree, and
-otherwise an exact Fraction elimination of the rest gives r.
+Homology is computed in the fundamental-cycle coordinates of the BFS
+spanning tree, held as the closure's arrays: a cycle is determined by its
+coefficients on the non-tree edges, and in the surface case classes are
+taken modulo the rows of the 2-cell boundary map.  A rank is k + r.  The
+k pivots come from singleton rows and columns, with no arithmetic, and
+are exact over Q.  r is the rank of the rest modulo a random 31-bit
+prime, which is only a lower bound on its rank over Q; a second
+independent prime must agree, and otherwise an exact Fraction
+elimination of the rest gives r.
 
 The subspace certificate: on a free cover, the averaging operator
 pi = (1/|C|) sum_c omega^(-psi(c)) deck(c) over a central slice C kills
@@ -82,13 +83,14 @@ ROW_BYTES_GUARD = 1 << 26
 class PermImage:
     """Permutation of {0..deg-1}; composition acts left-to-right on points."""
 
-    __slots__ = ("map",)
+    __slots__ = ("map", "layout")
 
     def __init__(self, mapping):
         mapping = tuple(mapping)
         if sorted(mapping) != list(range(len(mapping))):
             raise InvalidConfig(f"not a permutation: {mapping}")
         self.map = mapping
+        self.layout = f"permutations of degree {len(mapping)}"
 
     def row_code(self, images):
         """Rows are point maps; x * g gathers the points of x by g's map."""
@@ -100,13 +102,14 @@ class PermImage:
 class ResidueImage:
     """Element of (Z/m)^t written multiplicatively."""
 
-    __slots__ = ("vec", "mod")
+    __slots__ = ("vec", "mod", "layout")
 
     def __init__(self, vec, mod):
         if mod < 2:
             raise InvalidConfig(f"modulus {mod} too small")
         self.vec = tuple(v % mod for v in vec)
         self.mod = mod
+        self.layout = f"residue vectors of length {len(self.vec)} mod {mod}"
 
     def row_code(self, images):
         """Rows are residue vectors; x * g adds g's vector mod m."""
@@ -120,12 +123,13 @@ class UnitImage:
     their componentwise product, taken on rows by the tables of
     ``row_code``."""
 
-    __slots__ = ("units",)
+    __slots__ = ("units", "layout")
 
     def __init__(self, units):
         self.units = tuple(units)
         if not all(map(AlgElement.is_unit_element, self.units)):
             raise InvalidConfig("cover images must be units with degree-0 part 1")
+        self.layout = f"units of {', '.join(repr(u.spec) for u in self.units)}"
 
     def row_code(self, images):
         """Rows are coefficient vectors, factor after factor, over the
@@ -224,7 +228,9 @@ def _disjoint_groups(src, dst, coeff, fan_in):
 class FiniteQuotient:
     """Generator images in a concrete finite group; the group itself is
     discovered by closure in :func:`build_cover`, which also refuses a
-    surface quotient that does not kill the relator."""
+    surface quotient that does not kill the relator.  The images must share
+    one class and one ``layout``: the degree of a permutation, the length
+    and modulus of a residue vector, the factor algebras of a unit tuple."""
 
     alphabet: Alphabet
     images: tuple
@@ -235,6 +241,9 @@ class FiniteQuotient:
             raise InvalidConfig(
                 f"need {self.alphabet.ngens} generator images, got {len(self.images)}"
             )
+        layouts = list(dict.fromkeys(img.layout for img in self.images))
+        if len(layouts) > 1:
+            raise InvalidConfig(f"generator images of different layouts: {'; '.join(layouts)}")
 
     def element_order(self, word: GroupWord) -> int:
         """The order of theta(word), read off the cover.  Only the
@@ -300,19 +309,16 @@ def quotient_from_json(data) -> FiniteQuotient:
     residue images and "algebra": {"kind", "r", "k", "ngens"} for unit
     images; see the README for examples of each image encoding.  A missing
     key or a value of the wrong JSON type is refused with its name.
-    Counts, points, residues and coefficients must be integers;
-    permutations must share one degree and residue vectors one length."""
+    Counts, points, residues and coefficients must be integers."""
     kind = _json_field(data, "domain", str)
     alphabet = Alphabet(kind, _json_field(data, "rank" if kind == "free" else "genus", int))
     itype = _json_field(data, "type", str)
     raw = _json_field(data, "images", list)
     if itype == "perm":
         images = [PermImage(_json_ints(p, "a permutation")) for p in raw]
-        sizes = {len(p.map) for p in images}
     elif itype == "residue":
         mod = _json_field(data, "mod", int)
         images = [ResidueImage(_json_ints(v, "a residue vector"), mod) for v in raw]
-        sizes = {len(v.vec) for v in images}
     elif itype == "unit":
         a = _json_field(data, "algebra", dict)
         spec = AlgebraSpec(
@@ -322,11 +328,8 @@ def quotient_from_json(data) -> FiniteQuotient:
         for e in raw:
             _json_field(e, "monomials", list, "a unit image")
         images = [UnitImage((AlgElement.from_dict(spec, e),)) for e in raw]
-        sizes = set()
     else:
         raise InvalidConfig(f"unknown image type {itype!r}")
-    if len(sizes) > 1:
-        raise InvalidConfig(f"{itype} images of different sizes {sorted(sizes)}")
     return FiniteQuotient(alphabet, tuple(images))
 
 
@@ -338,21 +341,26 @@ def quotient_from_json(data) -> FiniteQuotient:
 class CoverComplex:
     """Vertices, edges, spanning tree and (surface) 2-cells of the cover
     attached to a finite quotient.  Vertex v is the group element of row v
-    of ``rows`` under ``code``; edge (v, i) has id v * ngens + i."""
+    of ``rows`` under ``code``; edge (v, i) has id v * ngens + i.
+
+    The spanning tree is the closure's: row v - 1 of ``parents`` is the
+    parent and letter of vertex v, ``tree_levels`` one (vertices, parents,
+    letters) triple of views of it per level below the root, and
+    ``cotree`` the ids of the non-tree edges, in increasing order."""
 
     quotient: FiniteQuotient
     code: RowCode
     rows: np.ndarray
     targets: np.ndarray
     inv_targets: np.ndarray
-    tree_parent: list
-    nontree: list
-    # edge id -> position among the non-tree edges; tree edges hold
-    # len(nontree), which sorts after every position
-    nontree_pos: np.ndarray
-    _tree_levels: list = field(default=None, repr=False)
+    parents: np.ndarray
+    tree_levels: list
+    cotree: np.ndarray
     _boundary_rows: list = field(default=None, repr=False)
     _dim_h1: int = field(default=None, repr=False)
+    # edge id -> position in cotree; tree edges hold len(cotree), which
+    # sorts after every position
+    nontree_pos: np.ndarray = field(init=False, repr=False)
     # plain copies for the walks, which read one entry per letter: the
     # head of edge (v, i) and the tail of the i-edge into v, both at
     # index v * ngens + i
@@ -362,6 +370,8 @@ class CoverComplex:
 
     def __post_init__(self):
         self.ngens = self.quotient.alphabet.ngens
+        self.nontree_pos = np.full(self.n_edges, self.cotree.size, dtype=np.int64)
+        self.nontree_pos[self.cotree] = np.arange(self.cotree.size)
         self._heads = self.targets.ravel().tolist()
         self._tails = self.inv_targets.ravel().tolist()
 
@@ -390,30 +400,22 @@ class CoverComplex:
 
     # -- paths and cycles ------------------------------------------------
 
-    def tree_path_vec(self, v: int) -> dict:
-        """Edge vector of the tree path from the root to vertex v."""
-        vec = {}
+    def tree_word(self, v: int) -> GroupWord:
+        """The word spelled by the tree path from the root to vertex v."""
+        letters = []
         while v:
-            u, i = self.tree_parent[v]
-            eid = u * self.ngens + i
-            vec[eid] = vec.get(eid, 0) + 1
-            v = u
-        return vec
+            v, i = self.parents[v - 1].tolist()
+            letters.append(i + 1)
+        return GroupWord(self.alphabet, tuple(reversed(letters)))
 
     def fundamental_cycle(self, pos: int) -> dict:
-        """Cycle vector of the pos-th non-tree edge: tree path to its tail,
-        the edge itself, then the tree path back from its head."""
-        v, i = self.nontree[pos]
-        vec = self.tree_path_vec(v)
-        eid = v * self.ngens + i
-        vec[eid] = vec.get(eid, 0) + 1
-        for e, c in self.tree_path_vec(self._heads[eid]).items():
-            s = vec.get(e, 0) - c
-            if s:
-                vec[e] = s
-            else:
-                vec.pop(e, None)
-        return vec
+        """Cycle vector of the pos-th non-tree edge (v, i): the lift from 0
+        of the tree word of v, then x_i, then the tree word of its head
+        backwards."""
+        eid = int(self.cotree[pos])
+        v, i = divmod(eid, self.ngens)
+        back = self.tree_word(self._heads[eid]).inverse()
+        return self.walk_vec(self.tree_word(v) * generator_word(self.alphabet, i) * back)[1]
 
     def walk_vec(self, word: GroupWord, basepoint: int = 0):
         """Edge vector of the lift of word starting at basepoint; returns
@@ -441,7 +443,7 @@ class CoverComplex:
         """Coordinates of a cycle in the fundamental-cycle basis: its
         coefficients on the non-tree edges."""
         out = {}
-        tree = len(self.nontree)
+        tree = self.cotree.size
         for eid, c in vec.items():
             pos = int(self.nontree_pos[eid])
             if pos != tree and c:
@@ -449,23 +451,6 @@ class CoverComplex:
         return out
 
     # -- deck action -------------------------------------------------------
-
-    def tree_levels(self):
-        """The spanning tree by depth: one (vertices, parents, letters)
-        triple of arrays per level below the root, vertex u of a level
-        being targets[parent, letter]."""
-        if self._tree_levels is None:
-            depth = [0] * self.n_vertices
-            for u in range(1, self.n_vertices):
-                depth[u] = depth[self.tree_parent[u][0]] + 1
-            # BFS numbers the vertices level by level
-            ends = np.searchsorted(depth, np.arange(1, depth[-1] + 2))
-            parents, letters = np.array(self.tree_parent[1:], dtype=np.int64).reshape(-1, 2).T
-            self._tree_levels = [
-                (np.arange(lo, hi), parents[lo - 1 : hi - 1], letters[lo - 1 : hi - 1])
-                for lo, hi in zip(ends[:-1], ends[1:])
-            ]
-        return self._tree_levels
 
     def deck_perm(self, v: int) -> np.ndarray:
         """Permutation of vertices given by left multiplication with the
@@ -475,7 +460,7 @@ class CoverComplex:
         the spanning tree, with no product in the group."""
         perm = np.empty(self.n_vertices, dtype=np.int64)
         perm[0] = v
-        for verts, parents, letters in self.tree_levels():
+        for verts, parents, letters in self.tree_levels:
             perm[verts] = self.targets[perm[parents], letters]
         return perm
 
@@ -552,17 +537,19 @@ def build_cover(quotient: FiniteQuotient, guard_vertices: int = 10 ** 5) -> Cove
 
 def _closure(quotient, code, guard_vertices, salt):
     """build_cover with digests salted by ``salt``, or None after a digest
-    collision."""
+    collision.  It records each level's vertex range as it reaches it, and
+    the cover keeps the tree as the parent array and views of it."""
     g = quotient.alphabet.ngens
     width, row_bytes = code.start.size, code.start.nbytes
     cap = min(guard_vertices, ROW_BYTES_GUARD // row_bytes) if row_bytes else guard_vertices
     rows = np.empty((max(cap, 1), width), dtype=code.dtype)
     rows[0] = code.start
     index = {_row_digests(rows[:1], salt)[0]: 0}  # digest -> vertex
-    targets, parents = [], []
+    targets, parents, levels = [], [], []
     lo, hi = 0, 1  # the vertices of the current level
     step = max(1, _BATCH_ENTRIES // max(1, width * g))
     while lo < hi:
+        levels.append((lo, hi))
         for at in range(lo, hi, step):
             block = rows[at : min(at + step, hi)].astype(np.int64)
             heads = np.stack([code.apply(block, i) for i in range(g)], axis=1)
@@ -593,21 +580,12 @@ def _closure(quotient, code, guard_vertices, salt):
     inv_targets = np.empty_like(targets)
     inv_targets[targets, np.arange(g)] = np.arange(n)[:, None]
     parents = np.concatenate(parents)
+    verts = np.arange(n)
+    tree_levels = [(verts[lo:hi], *parents[lo - 1 : hi - 1].T) for lo, hi in levels[1:]]
     tree = np.zeros(n * g, dtype=bool)
     tree[parents[:, 0] * g + parents[:, 1]] = True
-    cotree = np.flatnonzero(~tree)
-    nontree_pos = np.full(n * g, cotree.size, dtype=np.int64)
-    nontree_pos[cotree] = np.arange(cotree.size)
-    return CoverComplex(
-        quotient,
-        code,
-        rows[:n],
-        targets,
-        inv_targets,
-        [None] + list(map(tuple, parents.tolist())),
-        list(zip((cotree // g).tolist(), (cotree % g).tolist())),
-        nontree_pos,
-    )
+    return CoverComplex(quotient, code, rows[:n], targets, inv_targets, parents, tree_levels,
+                        np.flatnonzero(~tree))
 
 
 def _row_digests(rows, salt):
@@ -940,7 +918,7 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
                 starts.append(start)
     if not walks or not basepoints.size:
         return []
-    g, tree = cover.ngens, len(cover.nontree)
+    g, tree = cover.ngens, cover.cotree.size
     eids, coeffs = _stack_walks(walks)
     width = eids.shape[1]
     pad = coeffs == 0
@@ -1225,7 +1203,7 @@ def _central_orbits(perms, psi):
 def _tree_words(cover: CoverComplex) -> np.ndarray:
     """(V, depth) array whose row v spells the spanning-tree word of v from
     the root as letter indices, padded at the end with ngens."""
-    levels = cover.tree_levels()
+    levels = cover.tree_levels
     words = np.full((cover.n_vertices, len(levels)), cover.ngens, dtype=np.int64)
     for depth, (verts, parents, letters) in enumerate(levels):
         words[verts] = words[parents]
@@ -1295,13 +1273,13 @@ def isotypic_projection_check(
     ok = (proj.orbit[power] == proj.orbit[0]) & (proj.phase[power] != 0)
     if not ok.all():
         v = int(primitive[np.argmin(ok)])
-        word = GroupWord(cover.alphabet, tuple(int(x) + 1 for x in words[v] if x < g)).render()
+        word = cover.tree_word(v).render()
         raise PropertyViolation(
             f"the e-th power of vertex {v} = theta({word}) is not in C off ker psi",
             counterexample=word,
         )
     witness_pos = None
-    for pos in range(len(cover.nontree)):
+    for pos in range(cover.cotree.size):
         image = proj.apply_int(cover.fundamental_cycle(pos))
         if not proj.is_zero_in_h1(image):
             witness_pos = pos

@@ -68,7 +68,22 @@ def binomial_mod(n: int, e: int, r: int) -> int:
 
 
 def catalan_mod(m: int, r: int) -> int:
-    """m-th Catalan number mod r, via the exact formula C(2m,m) - C(2m,m+1)."""
+    """m-th Catalan number mod the prime r, as C(2m, m) - C(2m, m + 1) with
+    both binomials taken by Lucas's theorem: the product mod r of the
+    binomials of their base-r digits, O(log m) small binomials, where the
+    exact values have O(m) digits."""
     if m < 0:
         raise InvalidConfig(f"Catalan index must be >= 0, got {m}")
-    return (math.comb(2 * m, m) - math.comb(2 * m, m + 1)) % r
+    if not is_prime(r):
+        raise InvalidConfig(f"{r} is not prime")
+    return (_lucas_binomial(2 * m, m, r) - _lucas_binomial(2 * m, m + 1, r)) % r
+
+
+def _lucas_binomial(n: int, e: int, r: int) -> int:
+    """C(n, e) mod the prime r, for n, e >= 0; zero when e > n, since some
+    base-r digit of e then exceeds the matching digit of n."""
+    out = 1
+    while e and out:
+        out = out * math.comb(n % r, e % r) % r
+        n, e = n // r, e // r
+    return out

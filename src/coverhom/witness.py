@@ -257,8 +257,11 @@ def magnus_image(word: GroupWord, spec: AlgebraSpec, top=None) -> AlgElement:
 def catalan_series(r: int, k: int) -> AlgElement:
     """The tail series E = -sum_{m>=1} C_{m-1} A^{2m} in the quaternion
     algebra, truncated at degree r^k.  Satisfies A^2 + E + E^2 = 0 exactly
-    in the truncation; odd r only, since the closed form halves."""
+    in the truncation; odd r only, since the closed form halves.  Its
+    algebra is refused past ``units.MONOMIAL_GUARD`` basis monomials
+    before any term is computed."""
     spec = quat_spec(r, k)  # rejects r = 2
+    check_monomial_guard(spec)
     terms = {}
     for m in range(1, spec.cap // 2 + 1):
         c = (-catalan_mod(m - 1, r)) % r

@@ -192,6 +192,22 @@ def test_power_guard_trips_before_anything_is_powered(tmp_path):
     assert "268435455 basis monomials" in last["details"]["error"]
 
 
+@pytest.mark.parametrize("k", ["9", "20"])
+def test_oversized_surface_k_exits_two_at_once(tmp_path, k):
+    # exact binomials for the Catalan tail of the quaternion factor have
+    # thousands of digits: 72 s at k = 9, and no end at k = 20
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverhom", "verify-surface", "--r", "3", "--genus", "2",
+         "--k", k],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+
+
 def test_witness_e2e_reports_the_resolved_k(capsys):
     # --k omitted: the report gives the k the witness was built with
     code, out = _run(capsys, "witness-e2e", "--r", "2", "--n", "2", "--max-word-len", "2")
@@ -471,8 +487,10 @@ def test_quotient_perm_degrees_differ_exits_two(tmp_path, capsys):
     assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
 
 
-def test_quotient_with_an_oversized_inverse_exits_two(tmp_path, capsys):
-    # the inverse of 1 + X1 + ... + X255 would hold all 255^3 words of length 3
+def test_quotient_past_the_table_guard_exits_two(tmp_path, capsys):
+    # right multiplication by 1 + X1 + ... + X255 reaches all 255^3 words
+    # of length 3: the closure of the row columns stops at the byte guard
+    # before the tables are built
     quotient = {
         "domain": "free",
         "rank": 1,
@@ -481,6 +499,8 @@ def test_quotient_with_an_oversized_inverse_exits_two(tmp_path, capsys):
         "images": [{"monomials": [[[], 1]] + [[[i], 1] for i in range(255)]}],
     }
     assert _bad_quotient_exit(tmp_path, json.dumps(quotient)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "right-multiplication tables" in lines[0]
 
 
 WITNESS = ("witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2")

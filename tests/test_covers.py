@@ -109,6 +109,33 @@ def test_surface_quotient_must_kill_relator():
         build_cover(q)
 
 
+def _x(spec):
+    return one(spec) + symbol(spec, 0)
+
+
+_X = _x(free_spec(3, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        # unchecked, the short vector's shift is broadcast: a 3-vertex cover
+        (ResidueImage((1, 1), 3), ResidueImage((1,), 3)),
+        # unchecked, the first image sets the layout: Z/15 taken mod 3
+        (ResidueImage((1,), 3), ResidueImage((1,), 5)),
+        # unchecked, factors of other algebras or a missing one: 9-vertex covers
+        (UnitImage((_X,)), UnitImage((_x(free_spec(3, 1, 3)),))),
+        (UnitImage((_X,)), UnitImage((_X, _X))),
+        # unchecked, AttributeError and IndexError in the closure
+        (PermImage((1, 0)), ResidueImage((1,), 3)),
+        (PermImage((1, 0)), PermImage((1, 2, 0))),
+    ],
+)
+def test_quotient_refuses_images_of_different_layouts(images):
+    with pytest.raises(InvalidConfig, match="generator images of different layouts"):
+        FiniteQuotient(FREE2, images)
+
+
 def test_vertex_guard():
     q = FiniteQuotient(FREE2, (ResidueImage((1,), 7), ResidueImage((0,), 7)))
     with pytest.raises(TooLarge):
@@ -152,7 +179,7 @@ def _key(x):
         return x.map
     if isinstance(x, ResidueImage):
         return x.vec
-    return tuple(map(AlgElement.canonical_key, x.units))
+    return x.units
 
 
 def _evaluate(quotient, word):
@@ -214,8 +241,8 @@ def _assert_matches_reference(quotient):
     cover = build_cover(quotient)
     elements, targets, tree_parent, nontree = _reference_cover(quotient)
     assert cover.targets.tolist() == targets
-    assert cover.tree_parent == tree_parent
-    assert cover.nontree == nontree
+    assert [None] + list(map(tuple, cover.parents.tolist())) == tree_parent
+    assert [divmod(e, cover.ngens) for e in cover.cotree.tolist()] == nontree
     assert list(map(_key, _elements(cover))) == list(map(_key, elements))
     return cover
 
@@ -806,7 +833,7 @@ def _reference_deck_perms(cover, vertices):
     for v in vertices:
         perm = np.arange(cover.n_vertices)
         while v:  # the tree word read from v back to the root
-            v, i = cover.tree_parent[v]
+            v, i = cover.parents[v - 1]
             perm = left[i][perm]
         yield perm
 
@@ -1151,14 +1178,6 @@ def test_central_orbits_refuse_an_action_that_is_not_free():
     assert orbit.tolist() == [0, 0, 1, 1] and phase.tolist() == [0, 1, 0, 1]
 
 
-def _tree_word(cover, v):
-    letters = []
-    while v:
-        v, i = cover.tree_parent[v]
-        letters.append(i + 1)
-    return GroupWord(cover.alphabet, tuple(reversed(letters)))
-
-
 def test_group_sweep_agrees_with_the_reference_on_short_words(
     sorted_witness_bundle, sorted_witness_cover
 ):
@@ -1184,7 +1203,7 @@ def test_group_sweep_agrees_with_the_reference_on_short_words(
         # the elements certified are the vertices off ker alpha, with alpha
         # read off the algebra
         off = sum(
-            any(bundle.alpha_of_images(bundle.images(_tree_word(cover, v))))
+            any(bundle.alpha_of_images(bundle.images(cover.tree_word(v))))
             for v in range(cover.n_vertices)
         )
         assert rec["elements_certified"] == off
@@ -1217,7 +1236,7 @@ def test_group_sweep_refuses_a_wrong_exponent(sorted_witness_bundle, sorted_witn
 
 def test_group_sweep_refuses_a_redirected_edge(sorted_witness_bundle, sorted_witness_cover):
     proj = _projector(sorted_witness_cover, sorted_witness_bundle)
-    v, i = sorted_witness_cover.nontree[100]
+    v, i = divmod(int(sorted_witness_cover.cotree[100]), sorted_witness_cover.ngens)
     targets = sorted_witness_cover.targets.copy()
     targets[v, i] = targets[v, 1 - i]
     proj.cover = dataclasses.replace(sorted_witness_cover, targets=targets)
@@ -1235,7 +1254,7 @@ def test_group_sweep_names_the_first_vertex_off_ker_alpha(
     proj = IsotypicProjector(sorted_witness_cover, central, [0] * len(central), 3)
     with pytest.raises(PropertyViolation) as exc:
         isotypic_projection_check(proj, sorted_witness_bundle.exponent, max_word_len=3)
-    word = _tree_word(sorted_witness_cover, 1).render()
+    word = sorted_witness_cover.tree_word(1).render()
     assert str(exc.value) == f"the e-th power of vertex 1 = theta({word}) is not in C off ker psi"
     assert exc.value.counterexample == word == GroupWord(FREE2, (1,)).render()
 
@@ -1266,6 +1285,22 @@ def test_witness_e2e_reports_a_projector_it_cannot_build(
     ]
     details = checks[-1]["details"]
     assert details["counterexample"] is not None and details["error"]
+
+
+def test_witness_e2e_records_a_projector_refusal_under_its_check(monkeypatch, capsys):
+    # an empty central slice is a bad configuration of the projector: the
+    # invariants check that builds it records the error, not an "aborted"
+    # step after it
+    monkeypatch.setattr(covers, "central_slice", lambda cover, bundle: ([], []))
+    code = cli.main(
+        ["witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--max-word-len", "2"]
+    )
+    assert code == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("witness-free", "pass"), ("gaschutz", "pass"), ("isotypic-invariants", "error")
+    ]
+    assert "one psi value per central vertex" in checks[-1]["details"]["error"]
 
 
 @pytest.mark.parametrize(

@@ -95,3 +95,13 @@ def test_catalan_values():
     for m, c in enumerate(cats):
         for r in (3, 5, 7):
             assert catalan_mod(m, r) == c % r
+
+
+def test_catalan_mod_by_lucas_matches_the_exact_formula():
+    for r in (2, 3, 5, 7, 11):
+        for m in range(400):
+            exact = math.comb(2 * m, m) - math.comb(2 * m, m + 1)
+            assert catalan_mod(m, r) == exact % r, (m, r)
+    # Lucas's theorem needs a prime modulus
+    with pytest.raises(InvalidConfig, match="not prime"):
+        catalan_mod(3, 4)
