@@ -46,7 +46,7 @@ from .errors import (
     TooLarge,
     UnsupportedMonomialType,
 )
-from .modular import binomial_mod, catalan_mod, crt_coefficients, ff_inv
+from .modular import catalan_mod, crt_coefficients, ff_inv
 from .nonvanishing import (
     MonomialType,
     Poly,
@@ -101,7 +101,6 @@ _COVERS_NAMES = frozenset((
     "d_primitive_predicate",
     "elevation_class",
     "gaschutz_check",
-    "isotypic_invariants",
     "isotypic_projection_check",
     "nonkernel_predicate",
     "orbit_span_rank",

@@ -50,12 +50,13 @@ def _record(name, status, details, wall=0.0):
 
 
 def _timed(checks, name, fn, *args, **kwargs):
-    """Run the check fn, which returns its details, and append its record
-    under ``name``; returns the details, or None when the check failed.  A
-    guard or a bad configuration is recorded, then raised on to ``main``."""
+    """Run the check fn, which returns its details or an object whose
+    ``certified`` holds them, and append its record under ``name``; returns
+    what fn returned, or None when the check failed.  A guard or a bad
+    configuration is recorded, then raised on to ``main``."""
     t0 = time.perf_counter()
     try:
-        details = fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
     except PropertyViolation as exc:
         details = {"error": str(exc), "counterexample": exc.counterexample}
         checks.append(_record(name, "fail", details, time.perf_counter() - t0))
@@ -64,8 +65,9 @@ def _timed(checks, name, fn, *args, **kwargs):
         status = "guard" if isinstance(exc, TooLarge) else "error"
         checks.append(_record(name, status, {"error": str(exc)}, time.perf_counter() - t0))
         raise
+    details = getattr(result, "certified", result)
     checks.append(_record(name, "pass", details, time.perf_counter() - t0))
-    return details
+    return result
 
 
 def _emit(report, out_path):
@@ -246,21 +248,15 @@ def cmd_witness_e2e(args, report):
     quotient = covers.quotient_from_bundle(bundle)
     cover = covers.build_cover(quotient, guard_vertices=args.guard_vertices)
     _timed(checks, "gaschutz", covers.gaschutz_check, cover, args.seed)
-    # the projector certifies its central slice as it is built, inside the
-    # invariants check: a violation there fails that check, and no
+    # the invariants check is the projector's construction, which certifies
+    # its central slice: a violation there fails that check, and no
     # certificate follows
-    built = []
-
-    def invariants():
-        built.append(covers.IsotypicProjector(cover, *covers.central_slice(cover, bundle),
-                                              bundle.modulus))
-        return covers.isotypic_invariants(built[0], samples=3, seed=args.seed)
-
-    _timed(checks, "isotypic-invariants", invariants)
+    proj = _timed(checks, "isotypic-invariants", covers.IsotypicProjector, cover,
+                  *covers.central_slice(cover, bundle), bundle.modulus)
     projection = None
-    if built:
+    if proj is not None:
         projection = _timed(checks, "isotypic-projection", covers.isotypic_projection_check,
-                            built[0], bundle.exponent, max_word_len=args.max_word_len,
+                            proj, bundle.exponent, max_word_len=args.max_word_len,
                             seed=args.seed)
     if args.orbit_rank:
         if args.orbit_basepoints >= cover.n_vertices:

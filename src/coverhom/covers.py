@@ -44,7 +44,10 @@ forces the projection to zero) while pi is nonzero on H_1, which
 contains the regular representation.  The projector takes C and psi as
 tables, the central vertex ids and psi of each mod d; for a cover built
 from a witness bundle, ``central_slice`` reads them off the unit rows,
-and nothing else in the certificate reads the algebra.  The kernel claim
+and nothing else in the certificate reads the algebra.  Its construction
+certifies on the graph that psi is additive on C, that C acts freely,
+and that C commutes with every generator image, so that pi is idempotent
+and commutes with the deck group.  The kernel claim
 is certified for every word at every basepoint by one sweep of the
 Cayley graph: the exponent sums mod d of the tree words add e_i along
 each edge (v, i), and every vertex off their kernel has its e-th power
@@ -352,7 +355,6 @@ class CoverComplex:
     code: RowCode
     rows: np.ndarray
     targets: np.ndarray
-    inv_targets: np.ndarray
     parents: np.ndarray
     tree_levels: list
     cotree: np.ndarray
@@ -373,7 +375,9 @@ class CoverComplex:
         self.nontree_pos = np.full(self.n_edges, self.cotree.size, dtype=np.int64)
         self.nontree_pos[self.cotree] = np.arange(self.cotree.size)
         self._heads = self.targets.ravel().tolist()
-        self._tails = self.inv_targets.ravel().tolist()
+        tails = np.empty_like(self.targets)
+        tails[self.targets, np.arange(self.ngens)] = np.arange(self.n_vertices)[:, None]
+        self._tails = tails.ravel().tolist()
 
     @property
     def alphabet(self):
@@ -480,10 +484,6 @@ class CoverComplex:
                     counterexample=v,
                 )
 
-    def deck_translate(self, perm: np.ndarray, vec: dict) -> dict:
-        g = self.ngens
-        return {int(perm[eid // g]) * g + eid % g: c for eid, c in vec.items()}
-
     # -- homology ----------------------------------------------------------
 
     def boundary_rows(self):
@@ -577,14 +577,12 @@ def _closure(quotient, code, guard_vertices, salt):
         lo, hi = hi, len(index)
     n = len(index)
     targets = np.concatenate(targets).reshape(n, g)
-    inv_targets = np.empty_like(targets)
-    inv_targets[targets, np.arange(g)] = np.arange(n)[:, None]
     parents = np.concatenate(parents)
     verts = np.arange(n)
     tree_levels = [(verts[lo:hi], *parents[lo - 1 : hi - 1].T) for lo, hi in levels[1:]]
     tree = np.zeros(n * g, dtype=bool)
     tree[parents[:, 0] * g + parents[:, 1]] = True
-    return CoverComplex(quotient, code, rows[:n], targets, inv_targets, parents, tree_levels,
+    return CoverComplex(quotient, code, rows[:n], targets, parents, tree_levels,
                         np.flatnonzero(~tree))
 
 
@@ -1057,12 +1055,18 @@ class IsotypicProjector:
         (Pv)(u, i) = omega^(-psi(c_u)) S(O, i),
         S(O, i) = sum over y in O of omega^(psi(c_y)) v(y, i),
 
-    one sum per orbit and letter instead of a |C|-fold scatter.  Both
-    facts it rests on are certified at construction, each raising
+    one sum per orbit and letter instead of a |C|-fold scatter.  Pv is
+    zero exactly when every S(O, i) is, since omega^(-psi) is a unit.
+
+    Construction certifies three facts exactly, each failure raising
     PropertyViolation: psi(c c') = psi(c) + psi(c') mod d on C (so C is
-    closed and each psi value lies in 0..d-1), and the C-orbits partition
-    the vertices with |C| points each.  Pv is zero exactly when every
-    S(O, i) is, since omega^(-psi) is a unit.
+    closed and each psi value lies in 0..d-1); the C-orbits partition the
+    vertices with |C| points each; and every c in C commutes with every
+    generator image x_i, the vertex targets[0, i].  The orbit sums and
+    ``isotypic_projection_check`` rest on the first two.  Closure and
+    additivity give P^2 = |C| P, since each c'' in C is c c' for |C|
+    pairs, all weighing omega^(-psi(c'')).  The third makes C central in
+    the group the x_i generate, so P commutes with every deck map.
 
     Vectors are sparse dicts edge id -> coefficient: an int for
     ``apply_int``, a power-basis tuple for ``apply_cyc``.  Each S(O, i) is
@@ -1096,6 +1100,7 @@ class IsotypicProjector:
         self._check_additive(perms, psi)
         # orbit and phase psi(c_u) of each vertex u; members[O, n] = c_n r_O
         self.orbit, self.phase, self.members = _central_orbits(perms, psi)
+        self._check_central()
         powers = omega_powers(d)
         self.deg = len(powers[0])
         # (d, deg): row t is omega^t in the power basis
@@ -1123,9 +1128,38 @@ class IsotypicProjector:
                     counterexample=(a, b),
                 )
 
+    def _check_central(self):
+        """Raise PropertyViolation naming a central vertex c and a
+        generator index i with x_i c != c x_i: deck(x_i), checked to be the
+        deck map taking 0 to x_i, must send c to the head of edge (c, i)."""
+        cover, central = self.cover, self.central_vertices
+        gens = cover.targets[0]
+        perms = np.array([cover.deck_perm(x) for x in gens.tolist()], dtype=np.int64)
+        cover.check_deck_perms(gens, perms)
+        ok = perms[:, central] == cover.targets[central].T
+        if not ok.all():
+            i, n = np.argwhere(~ok)[0]
+            c, i = int(central[n]), int(i)
+            raise PropertyViolation(
+                f"central vertex {c} does not commute with generator x_{i + 1}",
+                counterexample=(c, i),
+            )
+
     @property
     def central_order(self):
         return len(self.central_vertices)
+
+    @property
+    def certified(self):
+        """What construction certified, as the details of a report."""
+        return {
+            "method": "exact",
+            "statement": "psi is additive on C, C acts freely and commutes with "
+            "every generator: P^2 = |C| P and P commutes with every deck map",
+            "central_order": self.central_order,
+            "orbits": len(self.members),
+            "generators": self.cover.ngens,
+        }
 
     def apply_int(self, vec: dict) -> dict:
         """Apply to an integer edge vector; entries land in Z[omega]."""
@@ -1298,30 +1332,6 @@ def isotypic_projection_check(
         "h1_witness_cycle": witness_pos,
         "modulus": d,
     }
-
-
-def isotypic_invariants(proj: IsotypicProjector, samples: int = 5, seed: int = 0) -> dict:
-    """Idempotence (S^2 = |C| S) and commutation with the deck action on
-    random sparse integer vectors."""
-    rng = random.Random(seed)
-    cover = proj.cover
-    order = proj.central_order
-    for _ in range(samples):
-        vec = {
-            rng.randrange(cover.n_edges): rng.randrange(1, 5)
-            for _ in range(rng.randrange(1, 6))
-        }
-        once = proj.apply_int(vec)
-        twice = proj.apply_cyc(once)
-        scaled = {e: tuple(x * order for x in v) for e, v in once.items()}
-        if twice != scaled:
-            raise PropertyViolation("projector is not idempotent up to |C|")
-        v = rng.randrange(cover.n_vertices)
-        perm = cover.deck_perm(v)
-        left = proj.apply_int(cover.deck_translate(perm, vec))
-        if left != cover.deck_translate(perm, once):
-            raise PropertyViolation("projector does not commute with the deck action")
-    return {"samples": samples}
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,6 @@ def crt_coefficients(primes, k: int):
     return qs, e
 
 
-def binomial_mod(n: int, e: int, r: int) -> int:
-    """Binomial coefficient C(n, e) reduced mod r, computed exactly."""
-    if e < 0 or e > n:
-        raise InvalidConfig(f"binomial index out of range: C({n}, {e})")
-    return math.comb(n, e) % r
-
-
 def catalan_mod(m: int, r: int) -> int:
     """m-th Catalan number mod the prime r, as C(2m, m) - C(2m, m + 1) with
     both binomials taken by Lucas's theorem: the product mod r of the

@@ -531,14 +531,7 @@ def assemble_witness_surface(r: int, genus: int, k: int | None = None) -> Witnes
     parts = classify(poly, paired=True)
     q_poly = parts[MonomialType.I] + parts[MonomialType.II] + parts[MonomialType.IIIA]
 
-    a_weights, b_weights = [], []
     iiib = parts[MonomialType.IIIB].terms
-    for p in range(genus):
-        ea = tuple(cap - 1 if i == 2 * p else 1 if i == 2 * p + 1 else 0 for i in range(n))
-        eb = tuple(1 if i == 2 * p else cap - 1 if i == 2 * p + 1 else 0 for i in range(n))
-        a_weights.append(iiib.get(ea, 0))
-        b_weights.append(iiib.get(eb, 0))
-
     sign = quat_sign(r, k)
     local = quat_power_poly(r, k)
     qspec = quat_spec(r, k)
@@ -547,13 +540,15 @@ def assemble_witness_surface(r: int, genus: int, k: int | None = None) -> Witnes
     factors = []
     for p in range(genus):
         succ = (p + 1) % genus
-        for swapped, weight in ((False, a_weights[p]), (True, b_weights[p])):
+        # leading exponents of the handle's a and b factors, x^(cap-1) y and x y^(cap-1)
+        ea = tuple(cap - 1 if i == 2 * p else 1 if i == 2 * p + 1 else 0 for i in range(n))
+        eb = tuple(1 if i == 2 * p else cap - 1 if i == 2 * p + 1 else 0 for i in range(n))
+        for swapped, lead in ((False, ea), (True, eb)):
+            weight = iiib.get(lead, 0)
             if swapped:
                 mapping = [2 * p + 1, 2 * p, 2 * succ + 1, 2 * succ]
-                lead = tuple(1 if i == 2 * p else cap - 1 if i == 2 * p + 1 else 0 for i in range(n))
             else:
                 mapping = [2 * p, 2 * p + 1, 2 * succ, 2 * succ + 1]
-                lead = tuple(cap - 1 if i == 2 * p else 1 if i == 2 * p + 1 else 0 for i in range(n))
             factors.append(QuatFactor(qspec, p + 1, swapped, weight, sign, chi_h))
             if weight:
                 correction = local.substitute_vars(mapping, n, names) - Poly.monomial(

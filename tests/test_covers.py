@@ -26,7 +26,6 @@ from coverhom import (
     free_spec,
     gaschutz_check,
     in_central_subgroup,
-    isotypic_invariants,
     isotypic_projection_check,
     nonkernel_predicate,
     one,
@@ -59,6 +58,12 @@ SURF2 = Alphabet("surface", 2)
 def _projector(cover, bundle):
     """The projector of a witness cover, on the tables read off its units."""
     return IsotypicProjector(cover, *central_slice(cover, bundle), bundle.modulus)
+
+
+def _deck_translate(cover, perm, vec):
+    """The edge vector vec moved by the vertex permutation perm."""
+    g = cover.ngens
+    return {int(perm[eid // g]) * g + eid % g: c for eid, c in vec.items()}
 
 
 def _z3_free_cover():
@@ -401,7 +406,7 @@ def test_elevation_deck_equivariance():
             m0, v0 = elevation_class(cover, w, 0)
             mb, vb = elevation_class(cover, w, b)
             assert m0 == mb
-            assert cover.deck_translate(perm, v0) == vb
+            assert _deck_translate(cover, perm, v0) == vb
 
 
 def test_word_orders_from_the_graph_match_the_algebra(sorted_witness_cover):
@@ -1009,9 +1014,48 @@ def test_central_slice_of_a_two_component_bundle():
     assert isotypic_projection_check(proj, bundle.exponent)["elements_certified"] == 24
 
 
-def test_isotypic_invariants(sorted_witness_bundle, sorted_witness_cover):
-    proj = _projector(sorted_witness_cover, sorted_witness_bundle)
-    assert isotypic_invariants(proj, samples=4, seed=3) == {"samples": 4}
+def test_projector_invariants_hold_on_random_vectors(sorted_witness_bundle, sorted_witness_cover):
+    # the sampled probes the exact certificate replaced, kept as an oracle:
+    # P^2 = |C| P, and P commutes with the deck maps, on the three covers
+    # of test_projector_kernel_matches_reference
+    full, r2 = assemble_witness_free(3, 2, 1, "full"), assemble_witness_free(2, 2, None, "sorted")
+    for bundle, cover in (
+        (sorted_witness_bundle, sorted_witness_cover),
+        (full, build_cover(quotient_from_bundle(full))),
+        (r2, build_cover(quotient_from_bundle(r2))),
+    ):
+        proj = _projector(cover, bundle)
+        assert proj.certified["central_order"] * proj.certified["orbits"] == cover.n_vertices
+        rng = random.Random(1012)
+        for _ in range(5):
+            positions = rng.sample(range(cover.n_edges), rng.randrange(1, 6))
+            vec = {e: rng.randrange(1, 5) for e in positions}
+            once = proj.apply_int(vec)
+            assert once
+            scaled = {e: tuple(x * proj.central_order for x in v) for e, v in once.items()}
+            assert proj.apply_cyc(once) == scaled
+            perm = cover.deck_perm(rng.randrange(cover.n_vertices))
+            assert proj.apply_int(_deck_translate(cover, perm, vec)) == _deck_translate(
+                cover, perm, once
+            )
+
+
+def _x1_slice(cover):
+    """The cyclic subgroup of x1, the vertices x1^j, with psi = j mod 3:
+    closed, additive and free on the sorted (3, 2) cover, but not central."""
+    central = [0]
+    while (nxt := int(cover.targets[central[-1], 0])) != 0:
+        central.append(nxt)
+    return central, [j % 3 for j in range(len(central))]
+
+
+def test_projector_refuses_a_slice_that_is_not_central(sorted_witness_cover):
+    central, psi = _x1_slice(sorted_witness_cover)
+    assert len(central) == 9 and central[1] == 1
+    with pytest.raises(PropertyViolation, match="does not commute") as exc:
+        IsotypicProjector(sorted_witness_cover, central, psi, 3)
+    # x1 = vertex 1 commutes with itself but not with x2
+    assert exc.value.counterexample == (1, 1)
 
 
 def _reference_projector(proj):
@@ -1285,6 +1329,42 @@ def test_witness_e2e_reports_a_projector_it_cannot_build(
     ]
     details = checks[-1]["details"]
     assert details["counterexample"] is not None and details["error"]
+
+
+def test_projector_refuses_a_generator_permutation_that_is_not_a_deck_map(
+    monkeypatch, sorted_witness_bundle, sorted_witness_cover
+):
+    # deck(x2) loses a transposition off C, where the centrality test does
+    # not look: only the deck-map check on it can refuse
+    cover = dataclasses.replace(sorted_witness_cover)
+    x2 = int(cover.targets[0, 1])
+    deck_perm = cover.deck_perm
+
+    def wrong(v):
+        perm = deck_perm(v)
+        if v == x2:
+            perm[[1, 2]] = perm[[2, 1]]
+        return perm
+
+    monkeypatch.setattr(cover, "deck_perm", wrong)
+    with pytest.raises(PropertyViolation) as exc:
+        _projector(cover, sorted_witness_bundle)
+    assert exc.value.counterexample == x2 and f"deck_perm({x2})" in str(exc.value)
+
+
+def test_witness_e2e_fails_the_invariants_of_a_slice_that_is_not_central(monkeypatch, capsys):
+    monkeypatch.setattr(covers, "central_slice", lambda cover, bundle: _x1_slice(cover))
+    code = cli.main(
+        ["witness-e2e", "--r", "3", "--n", "2", "--k", "1", "--variant", "sorted",
+         "--max-word-len", "2"]
+    )
+    assert code == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("witness-free", "pass"), ("gaschutz", "pass"), ("isotypic-invariants", "fail")
+    ]
+    assert checks[-1]["details"]["counterexample"] == [1, 1]
+    assert "does not commute" in checks[-1]["details"]["error"]
 
 
 def test_witness_e2e_records_a_projector_refusal_under_its_check(monkeypatch, capsys):
