@@ -363,21 +363,17 @@ class CoverComplex:
     # edge id -> position in cotree; tree edges hold len(cotree), which
     # sorts after every position
     nontree_pos: np.ndarray = field(init=False, repr=False)
-    # plain copies for the walks, which read one entry per letter: the
-    # head of edge (v, i) and the tail of the i-edge into v, both at
-    # index v * ngens + i
     ngens: int = field(init=False, repr=False)
-    _heads: list = field(init=False, repr=False)
-    _tails: list = field(init=False, repr=False)
+    # sources[v, i] is the tail of the i-edge into v, as targets[v, i] is
+    # the head of the i-edge out of v
+    sources: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ngens = self.quotient.alphabet.ngens
         self.nontree_pos = np.full(self.n_edges, self.cotree.size, dtype=np.int64)
         self.nontree_pos[self.cotree] = np.arange(self.cotree.size)
-        self._heads = self.targets.ravel().tolist()
-        tails = np.empty_like(self.targets)
-        tails[self.targets, np.arange(self.ngens)] = np.arange(self.n_vertices)[:, None]
-        self._tails = tails.ravel().tolist()
+        self.sources = np.empty_like(self.targets)
+        self.sources[self.targets, np.arange(self.ngens)] = np.arange(self.n_vertices)[:, None]
 
     @property
     def alphabet(self):
@@ -418,7 +414,7 @@ class CoverComplex:
         backwards."""
         eid = int(self.cotree[pos])
         v, i = divmod(eid, self.ngens)
-        back = self.tree_word(self._heads[eid]).inverse()
+        back = self.tree_word(self.targets.item(v, i)).inverse()
         return self.walk_vec(self.tree_word(v) * generator_word(self.alphabet, i) * back)[1]
 
     def walk_vec(self, word: GroupWord, basepoint: int = 0):
@@ -431,14 +427,14 @@ class CoverComplex:
     def _walk(self, word: GroupWord, v: int, vec: dict) -> int:
         """Add the lift of word starting at vertex v to the edge vector vec
         (zero entries kept); returns the end vertex."""
-        g, heads, tails = self.ngens, self._heads, self._tails
+        g, targets, sources = self.ngens, self.targets, self.sources
         for letter in word.letters:
             if letter > 0:
                 eid = v * g + letter - 1
                 vec[eid] = vec.get(eid, 0) + 1
-                v = heads[eid]
+                v = targets.item(v, letter - 1)
             else:
-                v = tails[v * g - letter - 1]
+                v = sources.item(v, -letter - 1)
                 eid = v * g - letter - 1
                 vec[eid] = vec.get(eid, 0) - 1
         return v
@@ -1070,15 +1066,11 @@ class IsotypicProjector:
 
     Vectors are sparse dicts edge id -> coefficient: an int for
     ``apply_int``, a power-basis tuple for ``apply_cyc``.  Each S(O, i) is
-    summed in int64 as d slots, the coefficients of omega^0..omega^(d-1):
-    every input coefficient lands in one slot, and the factor
-    omega^(-psi(c_u)) only permutes the slots.  A value is reduced to the
-    power basis last, as sum_t slot_t * omega^t.  So every slot and every
-    partial sum is bounded by the absolute input coefficients of one orbit
-    added up, at most |C| * deg * max|input|, and every reduced entry by
-    that times max|omega rep|, which is ``_entry_bound`` * max|input|.
-    A bound of 2^63 or more raises TooLarge; below it every result is
-    exact."""
+    summed in Python integers as d slots, the coefficients of
+    omega^0..omega^(d-1): every input coefficient lands in one slot, and
+    the factor omega^(-psi(c_u)) only permutes the slots.  A value is
+    reduced to the power basis last, as sum_t slot_t * omega^t, so every
+    result is exact whatever the size of the input."""
 
     def __init__(self, cover: CoverComplex, central, psi, d: int):
         if cover.alphabet.kind != "free":
@@ -1101,13 +1093,7 @@ class IsotypicProjector:
         # orbit and phase psi(c_u) of each vertex u; members[O, n] = c_n r_O
         self.orbit, self.phase, self.members = _central_orbits(perms, psi)
         self._check_central()
-        powers = omega_powers(d)
-        self.deg = len(powers[0])
-        # (d, deg): row t is omega^t in the power basis
-        self.basis = np.array(powers, dtype=np.int64)
-        self._entry_bound = (
-            len(central) * self.deg * max(abs(x) for rep in powers for x in rep)
-        )
+        self.deg = len(omega_powers(d)[0])
 
     def _check_additive(self, perms, psi):
         """Raise PropertyViolation naming central vertices a, b whose
@@ -1169,39 +1155,30 @@ class IsotypicProjector:
         """Apply to a Z[omega]-valued edge vector."""
         return self._apply(vec, list(vec.values()))
 
-    def _guard(self, peak):
-        if self._entry_bound * peak >= 2 ** 63:
-            raise TooLarge(
-                f"projector entries may reach {self._entry_bound * peak}, beyond int64"
-            )
-
     def _apply(self, vec: dict, coeffs: list) -> dict:
         """S(O, i) for every orbit and letter the entries of vec touch,
         expanded over the orbit's members; coeffs[n] holds the leading
         power-basis coefficients of the n-th entry of vec."""
-        if not vec:
-            return {}
-        self._guard(max(abs(x) for row in coeffs for x in row))
-        vals = np.array(coeffs, dtype=np.int64)
+        g, d, powers = self.cover.ngens, self.d, omega_powers(self.d)
         eids = np.fromiter(vec, dtype=np.int64, count=len(vec))
-        g, d = self.cover.ngens, self.d
         verts = eids // g
-        # entry n holds vals[n, j] * omega^j, which goes to slot phase + j of
-        # the sum of its (orbit, letter) key
-        keys, at = np.unique(self.orbit[verts] * g + eids % g, return_inverse=True)
-        slots = (self.phase[verts, None] + np.arange(vals.shape[1])) % d
-        sums = np.zeros((keys.size, d), dtype=np.int64)
-        np.add.at(sums, (at[:, None], slots), vals)
-        # omega^(-p) sum_t s_t omega^t = sum_t s_(t+p) omega^t, so images[k, p]
-        # is omega^(-p) S(k) in the power basis
-        images = sums[:, (np.arange(d)[:, None] + np.arange(d)) % d] @ self.basis
-        live = images[:, 0].any(axis=1)
-        keys, images = keys[live], images[live]
-        members = self.members[keys // g]
-        eout = (members * g + (keys % g)[:, None]).ravel()
-        vout = images[np.arange(keys.size)[:, None], self.phase[members]].reshape(-1, self.deg)
-        order = np.argsort(eout)
-        return dict(zip(eout[order].tolist(), map(tuple, vout[order].tolist())))
+        sums = {}
+        for o, i, p, row in zip(self.orbit[verts].tolist(), (eids % g).tolist(),
+                                self.phase[verts].tolist(), coeffs):
+            # entry row[j] * omega^j goes to slot p + j of its key's sum
+            slots = sums.setdefault((o, i), [0] * d)
+            for j, c in enumerate(row):
+                slots[(p + j) % d] += int(c)
+        out = {}
+        for (o, i), slots in sums.items():
+            # omega^(-p) sum_t s_t omega^t = sum_t s_(t+p) omega^t
+            images = [tuple(sum(s * rep[k] for s, rep in zip(slots[p:] + slots[:p], powers))
+                            for k in range(self.deg)) for p in range(d)]
+            if any(images[0]):
+                members = self.members[o]
+                for u, p in zip(members.tolist(), self.phase[members].tolist()):
+                    out[u * g + i] = images[p]
+        return dict(sorted(out.items()))
 
     def is_zero_in_h1(self, cyc_vec: dict) -> bool:
         """Zero test for a Z[omega]-valued cycle: a free cover has no

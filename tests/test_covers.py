@@ -686,6 +686,13 @@ def test_rank_mod_p_matches_the_column_kernel(monkeypatch, budget):
     assert _rows_rank_mod_p([{}, {}], 0, 3) == _reference_rank_mod_p([{}, {}], 0, 3) == 0
 
 
+def test_rank_mod_p_rescans_past_the_last_column():
+    # clearing row 1 by row 0 at the last column leaves nothing to scan
+    rows = [{2: 1}, {2: 2}, {0: 1, 1: 1}]
+    assert _rows_rank_mod_p(rows, 3, 7) == 2
+    assert _rows_rank_mod_p(_transpose(rows, 3), 3, 7) == 2
+
+
 def _signed_key(row):
     """A row's sorted (position, coefficient) pairs, negated if needed so
     that the first coefficient is positive: one key per line of rows."""
@@ -1040,13 +1047,14 @@ def test_projector_invariants_hold_on_random_vectors(sorted_witness_bundle, sort
             )
 
 
-def _x1_slice(cover):
-    """The cyclic subgroup of x1, the vertices x1^j, with psi = j mod 3:
-    closed, additive and free on the sorted (3, 2) cover, but not central."""
+def _x1_slice(cover, d=3):
+    """The cyclic subgroup of x1, the vertices x1^j, with psi = j mod d.
+    On the sorted (3, 2) cover it is closed, additive and free at d = 3,
+    but not central."""
     central = [0]
     while (nxt := int(cover.targets[central[-1], 0])) != 0:
         central.append(nxt)
-    return central, [j % 3 for j in range(len(central))]
+    return central, [j % d for j in range(len(central))]
 
 
 def test_projector_refuses_a_slice_that_is_not_central(sorted_witness_cover):
@@ -1059,8 +1067,8 @@ def test_projector_refuses_a_slice_that_is_not_central(sorted_witness_cover):
 
 
 def _reference_projector(proj):
-    """The dict-of-tuples projector the array kernel replaced, kept as an
-    oracle: one Z[omega] tuple update per (central element, entry)."""
+    """A dict-of-tuples projector kept as an oracle: one Z[omega] tuple
+    update per (central element, entry)."""
     d, g, deg = proj.d, proj.cover.ngens, proj.deg
     powers = omega_powers(d)
     zero = (0,) * deg
@@ -1100,6 +1108,20 @@ def _reference_projector(proj):
     return apply_int, apply_cyc
 
 
+def _matches_reference(proj, seed):
+    """apply_int and apply_cyc agree with the reference on random sparse
+    vectors."""
+    ref_int, ref_cyc = _reference_projector(proj)
+    rng = random.Random(seed)
+    for _ in range(10):
+        positions = rng.sample(range(proj.cover.n_edges), rng.randrange(1, 12))
+        vec = {e: rng.choice((-1, 1)) * rng.randrange(1, 50) for e in positions}
+        assert proj.apply_int(vec) == ref_int(vec)
+        cyc = {e: tuple(rng.randrange(-9, 10) for _ in range(proj.deg)) for e in positions}
+        assert proj.apply_cyc(cyc) == ref_cyc(cyc)
+    return ref_int, ref_cyc
+
+
 def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witness_cover):
     # the sorted and full variants at r = 3, and the sorted one at r = 2
     # (d = 2, deg = 1)
@@ -1110,14 +1132,7 @@ def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witnes
         (r2, build_cover(quotient_from_bundle(r2))),
     ):
         proj = _projector(cover, bundle)
-        ref_int, ref_cyc = _reference_projector(proj)
-        rng = random.Random(2304)
-        for _ in range(10):
-            positions = rng.sample(range(cover.n_edges), rng.randrange(1, 12))
-            vec = {e: rng.choice((-1, 1)) * rng.randrange(1, 50) for e in positions}
-            assert proj.apply_int(vec) == ref_int(vec)
-            cyc = {e: tuple(rng.randrange(-9, 10) for _ in range(proj.deg)) for e in positions}
-            assert proj.apply_cyc(cyc) == ref_cyc(cyc)
+        ref_int, ref_cyc = _matches_reference(proj, 2304)
         # an elevation class is killed and its image goes through apply_cyc
         _, vec = elevation_class(cover, GroupWord(FREE2, (1, 2, 2)), 5)
         assert proj.apply_int(vec) == ref_int(vec) == {}
@@ -1125,19 +1140,35 @@ def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witnes
         assert once and proj.apply_cyc(once) == ref_cyc(once)
 
 
-def test_projector_int64_bound(sorted_witness_bundle, sorted_witness_cover):
+def test_projector_is_exact_beyond_int64(sorted_witness_bundle, sorted_witness_cover):
     proj = _projector(sorted_witness_cover, sorted_witness_bundle)
     ref_int, ref_cyc = _reference_projector(proj)
-    # |C| * deg * max|omega rep| = 81 * 2 * 1: the largest safe coefficient
+    # the results agree with the reference for orbit sums within int64
+    # (at most 81 * 2 * 1 times the largest coefficient) and past it
     safe = (2 ** 63 - 1) // 162
     vec = {0: safe, 7: -safe}
     assert proj.apply_int(vec) == ref_int(vec)
     cyc = {3: (safe, -safe)}
     assert proj.apply_cyc(cyc) == ref_cyc(cyc)
-    with pytest.raises(TooLarge):
-        proj.apply_int({0: 1, 5: 2 ** 62 + 1})
-    with pytest.raises(TooLarge):
-        proj.apply_cyc({0: (0, -(2 ** 62))})
+    vec = {0: 1, 5: 2 ** 70 + 1}
+    assert proj.apply_int(vec) == ref_int(vec) != {}
+    cyc = {0: (0, -(2 ** 70)), 3: (2 ** 70, 1)}
+    assert proj.apply_cyc(cyc) == ref_cyc(cyc) != {}
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_projector_matches_reference_at_composite_and_larger_d(d):
+    # on the cover of (Z/d)^2, which is abelian, C = <x1> is central and free
+    cover = build_cover(FiniteQuotient(FREE2, (ResidueImage((1, 0), d), ResidueImage((0, 1), d))))
+    central, psi = _x1_slice(cover, d)
+    proj = IsotypicProjector(cover, central, psi, d)
+    # Phi_4, Phi_5 and Phi_6 have degrees 2, 4 and 2
+    assert proj.deg == {4: 2, 5: 4, 6: 2}[d]
+    ref_int, ref_cyc = _matches_reference(proj, d)
+    for pos in range(cover.cotree.size):
+        once = proj.apply_int(cover.fundamental_cycle(pos))
+        assert once == ref_int(cover.fundamental_cycle(pos))
+        assert proj.apply_cyc(once) == ref_cyc(once)
 
 
 def test_quotient_from_json_perm():
