@@ -45,14 +45,14 @@ contains the regular representation.  The projector takes C and psi as
 tables, the central vertex ids and psi of each mod d; for a cover built
 from a witness bundle, ``central_slice`` reads them off the unit rows,
 and nothing else in the certificate reads the algebra.  Its construction
-certifies on the graph that psi is additive on C, that C acts freely,
-and that C commutes with every generator image, so that pi is idempotent
-and commutes with the deck group.  The kernel claim
-is certified for every word at every basepoint by one sweep of the
-Cayley graph: the exponent sums mod d of the tree words add e_i along
-each edge (v, i), and every vertex off their kernel has its e-th power
-in C off ker psi.  Cyclotomic arithmetic is exact, in the power basis of
-Z[omega] modulo the d-th cyclotomic polynomial.
+labels the C-orbits from the deck maps of generators of C and certifies
+on the graph that psi is additive on C, that C acts freely, and that C
+commutes with every generator image, so that pi is idempotent and
+commutes with the deck group.  The kernel claim is certified for every
+word at every basepoint by one sweep of the Cayley graph: the exponent
+sums mod d of the tree words add e_i along each edge (v, i), and every
+vertex off their kernel has its e-th power in C off ker psi.  Cyclotomic
+arithmetic is exact, in the power basis of Z[omega] modulo Phi_d.
 """
 
 import random
@@ -1054,11 +1054,12 @@ class IsotypicProjector:
     one sum per orbit and letter instead of a |C|-fold scatter.  Pv is
     zero exactly when every S(O, i) is, since omega^(-psi) is a unit.
 
-    Construction certifies three facts exactly, each failure raising
-    PropertyViolation: psi(c c') = psi(c) + psi(c') mod d on C (so C is
-    closed and each psi value lies in 0..d-1); the C-orbits partition the
-    vertices with |C| points each; and every c in C commutes with every
-    generator image x_i, the vertex targets[0, i].  The orbit sums and
+    Construction certifies three facts exactly, from the deck maps of
+    generators of C and of the x_i, each failure a PropertyViolation: C is
+    closed and psi(c c') = psi(c) + psi(c') mod d on it (so each psi value
+    lies in 0..d-1); the C-orbits partition the vertices with |C| points
+    each; and every c in C commutes with every generator image x_i, the
+    vertex targets[0, i].  No table of C is built.  The orbit sums and
     ``isotypic_projection_check`` rest on the first two.  Closure and
     additivity give P^2 = |C| P, since each c'' in C is c c' for |C|
     pairs, all weighing omega^(-psi(c'')).  The third makes C central in
@@ -1081,38 +1082,11 @@ class IsotypicProjector:
             raise InvalidConfig(
                 f"need one psi value per central vertex, got {len(psi)} for {len(central)}"
             )
-        self.cover = cover
-        self.d = d
-        self.central_vertices = list(central)
-        # (|C|, V): vertex permutation of each central deck element, checked
-        # to be the deck map it stands for; only the orbit tables are kept
-        perms = np.array([cover.deck_perm(v) for v in central], dtype=np.int64)
-        cover.check_deck_perms(central, perms)
-        psi = np.array(psi, dtype=np.int64)
-        self._check_additive(perms, psi)
-        # orbit and phase psi(c_u) of each vertex u; members[O, n] = c_n r_O
-        self.orbit, self.phase, self.members = _central_orbits(perms, psi)
+        self.cover, self.d, self.central_vertices = cover, d, list(central)
+        # orbit and phase psi(c_u) of each vertex u, and each orbit's vertices
+        self.orbit, self.phase, self.members = _central_orbits(cover, central, psi, d)
         self._check_central()
         self.deg = len(omega_powers(d)[0])
-
-    def _check_additive(self, perms, psi):
-        """Raise PropertyViolation naming central vertices a, b whose
-        product is not central or has psi(ab) != psi(a) + psi(b) mod d.
-        perms[:, central] is the multiplication table of C."""
-        central = self.central_vertices
-        at = np.full(self.cover.n_vertices, -1, dtype=np.int64)
-        at[central] = np.arange(len(central))
-        step = max(1, _BATCH_ENTRIES // len(central))
-        for lo in range(0, len(central), step):
-            prod = at[perms[lo : lo + step, central]]
-            ok = (prod >= 0) & (psi[prod] == (psi[lo : lo + step, None] + psi) % self.d)
-            if not ok.all():
-                i, j = np.argwhere(~ok)[0]
-                a, b = central[lo + int(i)], central[int(j)]
-                raise PropertyViolation(
-                    f"psi is not additive on the central slice at vertices {a} and {b}",
-                    counterexample=(a, b),
-                )
 
     def _check_central(self):
         """Raise PropertyViolation naming a central vertex c and a
@@ -1120,9 +1094,9 @@ class IsotypicProjector:
         deck map taking 0 to x_i, must send c to the head of edge (c, i)."""
         cover, central = self.cover, self.central_vertices
         gens = cover.targets[0]
-        perms = np.array([cover.deck_perm(x) for x in gens.tolist()], dtype=np.int64)
-        cover.check_deck_perms(gens, perms)
-        ok = perms[:, central] == cover.targets[central].T
+        decks = np.array([cover.deck_perm(x) for x in gens.tolist()], dtype=np.int64)
+        cover.check_deck_perms(gens, decks)
+        ok = decks[:, central] == cover.targets[central].T
         if not ok.all():
             i, n = np.argwhere(~ok)[0]
             c, i = int(central[n]), int(i)
@@ -1186,29 +1160,55 @@ class IsotypicProjector:
         return not cyc_vec
 
 
-def _central_orbits(perms, psi):
-    """(orbit, phase, members) of the action on the vertices of the
-    central slice C, given by its deck permutations ``perms`` (|C|, V)
-    and its psi values.  Row O of ``members`` is c r_O for each c in C,
-    r_O the least vertex of orbit O; a vertex u = c_u r_O has orbit[u] =
-    O and phase[u] = psi(c_u).  Raises PropertyViolation unless the orbits
-    partition the vertices with |C| points each: C acts freely."""
-    n_vertices = perms.shape[1]
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(n_vertices))
-    members = perms[:, reps].T
-    hits = np.bincount(members.ravel(), minlength=n_vertices)
-    if (hits != 1).any():
-        u = int(np.flatnonzero(hits != 1)[0])
-        raise PropertyViolation(
-            f"the central slice does not act freely: vertex {u} is in "
-            f"{hits[u]} orbit places instead of one",
-            counterexample=u,
-        )
-    orbit = np.empty(n_vertices, dtype=np.int64)
-    orbit[members] = np.arange(len(members))[:, None]
-    phase = np.empty(n_vertices, dtype=np.int64)
-    phase[members] = psi
-    return orbit, phase, members
+def _central_orbits(cover, central, psi, d):
+    """(orbit, phase, members) of the central slice C on the vertices, from
+    the deck maps of generators of C.  Each vertex of C that the generators
+    so far do not reach from 0 is the next generator c, and a vertex u takes
+    the least orbit label among the c^t u until c^t = 1, at the phase there
+    less t psi(c).  Orbit O, labelled by its least vertex r_O at phase 0, is
+    returned as its rank among the r_O; row O of ``members`` lists it in
+    increasing order.  PropertyViolation names a counterexample unless each
+    generator c keeps every orbit label and adds psi(c) to every phase, so
+    u = c_u r_O has phase psi(c_u); the orbit of 0 is C with phase psi, so C
+    is closed and psi additive on it; and every orbit has |C| points."""
+    n_vertices, psi = cover.n_vertices, np.array(psi, dtype=np.int64)
+    orbit, phase, gens = np.arange(n_vertices), np.zeros(n_vertices, dtype=np.int64), []
+    for c, p in zip(map(int, central), psi.tolist()):
+        if orbit[c]:
+            perm = cover.deck_perm(c)
+            cover.check_deck_perms([c], perm[None])
+            gens.append((c, p, perm))
+            best, step, power, t = orbit.copy(), phase.copy(), perm, 1
+            while power[0]:  # power is the deck map of c^t
+                lower = orbit[power] < best
+                best[lower], step[lower] = orbit[power[lower]], phase[power[lower]] - t * p
+                power, t = perm[power], t + 1
+            orbit, phase = best, step % d
+    for c, p, perm in gens:
+        ok = (orbit[perm] == orbit) & (phase[perm] == (phase + p) % d)
+        if not ok.all():
+            u = int(np.argmin(ok))
+            raise PropertyViolation(f"psi is not additive on the group the central slice "
+                                    f"generates, or it is not abelian: generator {c} does not "
+                                    f"add psi({c}) = {p} at vertex {u}", counterexample=(u, c))
+    outside = orbit == 0
+    outside[central] = False
+    if outside.any():
+        v = int(np.argmax(outside))
+        raise PropertyViolation(f"the central slice is not closed: vertex {v} is a product "
+                                "of its vertices", counterexample=v)
+    if (wrong := phase[central] != psi).any():
+        n = int(np.argmax(wrong))
+        raise PropertyViolation(f"psi is not additive on the central slice: psi({central[n]}) "
+                                f"= {psi[n]}, but its generators give {phase[central[n]]}",
+                                counterexample=int(central[n]))
+    reps, orbit, sizes = np.unique(orbit, return_inverse=True, return_counts=True)
+    if (sizes != len(central)).any():
+        u = int(reps[np.argmax(sizes != len(central))])
+        raise PropertyViolation(f"the central slice does not act freely: the orbit of vertex "
+                                f"{u} has {sizes[orbit[u]]} points, not {len(central)}",
+                                counterexample=u)
+    return orbit, phase, np.argsort(orbit, kind="stable").reshape(len(reps), len(central))
 
 
 def _tree_words(cover: CoverComplex) -> np.ndarray:

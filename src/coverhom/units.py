@@ -184,8 +184,21 @@ def linear_class_units(spec: AlgebraSpec):
 MONOMIAL_GUARD = 10 ** 6
 
 
+def check_degree_guard(spec: AlgebraSpec):
+    """Raise InvalidConfig if the truncation degree D of ``spec`` passes
+    ``MONOMIAL_GUARD``: the algebra has a basis monomial of every degree up
+    to D, so more than D of them.  Unlike the count, this reads D alone."""
+    if spec.cap > MONOMIAL_GUARD:
+        raise InvalidConfig(
+            f"factor algebra of truncation degree {spec.r}^{spec.k} has more than "
+            f"{MONOMIAL_GUARD} basis monomials, beyond the sweep guard"
+        )
+
+
 def check_monomial_guard(spec: AlgebraSpec):
-    """Raise InvalidConfig if ``spec`` has more than ``MONOMIAL_GUARD`` basis monomials."""
+    """Raise InvalidConfig if ``spec`` has more than ``MONOMIAL_GUARD`` basis
+    monomials; D is compared first, since the count sums over range(D + 1)."""
+    check_degree_guard(spec)
     size = count_basis_monomials(spec)
     if size > MONOMIAL_GUARD:
         raise InvalidConfig(

@@ -53,6 +53,7 @@ from .units import (
     CentralCharacter,
     abelianization,
     character_from_poly,
+    check_degree_guard,
     check_monomial_guard,
     in_central_subgroup,
 )
@@ -505,6 +506,8 @@ def assemble_witness_free(r: int, n: int, k: int | None = None, variant: str = "
     spec = (free_spec if variant == "full" else sorted_spec)(r, k, n)
     if spec.cap <= (n - 1) * (r - 1):
         raise InvalidConfig(f"k = {k} below minimal_k(r={r}, n={n}) = {minimal_k(r, n)}")
+    # the character's words have length D: refuse a D past the guard first
+    check_degree_guard(spec)
     poly = build_nonvanishing(r, n, k)
     chi = character_from_poly(spec, poly)
     comp = PrimeComponent(r, k, 1, poly, (MagnusFactor(spec, chi),))

@@ -393,6 +393,20 @@ def _one_line_refusal(capsys, argv, *needles):
     assert len(lines) == 1 and all(needle in lines[0] for needle in needles), lines
 
 
+@pytest.mark.parametrize("k", ["40", "300"])
+@pytest.mark.parametrize(
+    "command", [["verify-free", "--r", "2"], ["witness-e2e", "--r", "2"],
+                ["crt-lift", "--primes", "2,3"]], ids=["verify-free", "witness-e2e", "crt-lift"]
+)
+def test_a_free_witness_past_the_degree_guard_exits_two(capsys, command, k):
+    # D = 2^k, and the character's words have length D: the witness is
+    # refused as it is assembled, before a word is built or the algebra's
+    # monomials are counted
+    t0 = time.perf_counter()
+    _one_line_refusal(capsys, [*command, "--n", "2", "--k", k], f"truncation degree 2^{k}")
+    assert time.perf_counter() - t0 < 2
+
+
 def test_theta_past_the_vertex_guard_is_refused_before_any_check(tmp_path, capsys):
     # theta onto Z/7 has 7 vertices; the quotient's 3 fit the guard of 5
     (tmp_path / "q.json").write_text(json.dumps(RESIDUE))

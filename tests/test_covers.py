@@ -21,6 +21,7 @@ from coverhom import (
     assemble_witness_free,
     build_cover,
     central_slice,
+    crt_lift,
     d_primitive_predicate,
     elevation_class,
     free_spec,
@@ -55,15 +56,25 @@ FREE2 = Alphabet("free", 2)
 SURF2 = Alphabet("surface", 2)
 
 
+def _tables(cover, bundle):
+    """The (central, psi, d) tables of a witness cover, read off its units."""
+    return (*central_slice(cover, bundle), bundle.modulus)
+
+
 def _projector(cover, bundle):
     """The projector of a witness cover, on the tables read off its units."""
-    return IsotypicProjector(cover, *central_slice(cover, bundle), bundle.modulus)
+    return IsotypicProjector(cover, *_tables(cover, bundle))
 
 
 def _deck_translate(cover, perm, vec):
     """The edge vector vec moved by the vertex permutation perm."""
     g = cover.ngens
     return {int(perm[eid // g]) * g + eid % g: c for eid, c in vec.items()}
+
+
+def _residue_cover(d):
+    """The cover of (Z/d)^2, which is abelian: C = <x1> is central and free."""
+    return build_cover(FiniteQuotient(FREE2, (ResidueImage((1, 0), d), ResidueImage((0, 1), d))))
 
 
 def _z3_free_cover():
@@ -824,11 +835,15 @@ def test_projector_refuses_a_permutation_that_is_not_a_deck_map(
     monkeypatch, sorted_witness_bundle, sorted_witness_cover, fault
 ):
     cover = sorted_witness_cover
+    central, _ = central_slice(cover, sorted_witness_bundle)
     _break_deck_perm(monkeypatch, cover, fault)
     with pytest.raises(PropertyViolation) as exc:
         _projector(cover, sorted_witness_bundle)
-    # the identity is the first central vertex
-    assert exc.value.counterexample == 0 and "deck_perm(0)" in str(exc.value)
+    # the identity is the first central vertex and takes no deck map: the
+    # next one is the first generator of C
+    first = central[1]
+    assert central[0] == 0 and first
+    assert exc.value.counterexample == first and f"deck_perm({first})" in str(exc.value)
 
 
 def _reference_deck_perms(cover, vertices):
@@ -1066,15 +1081,13 @@ def test_projector_refuses_a_slice_that_is_not_central(sorted_witness_cover):
     assert exc.value.counterexample == (1, 1)
 
 
-def _reference_projector(proj):
-    """A dict-of-tuples projector kept as an oracle: one Z[omega] tuple
-    update per (central element, entry)."""
-    d, g, deg = proj.d, proj.cover.ngens, proj.deg
-    powers = omega_powers(d)
-    zero = (0,) * deg
-    perms = [proj.cover.deck_perm(v) for v in proj.central_vertices]
-    # vertex c = c * 0 of C has phase psi(c)
-    psi = proj.phase[proj.central_vertices]
+def _reference_projector(cover, central, psi, d):
+    """A dict-of-tuples projector kept as an oracle, on the tables the
+    projector is given: one Z[omega] tuple update per (central element,
+    entry)."""
+    g, powers = cover.ngens, omega_powers(d)
+    zero = (0,) * len(powers[0])
+    perms = [cover.deck_perm(v) for v in central]
 
     def add(a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -1108,18 +1121,20 @@ def _reference_projector(proj):
     return apply_int, apply_cyc
 
 
-def _matches_reference(proj, seed):
-    """apply_int and apply_cyc agree with the reference on random sparse
-    vectors."""
-    ref_int, ref_cyc = _reference_projector(proj)
+def _matches_reference(cover, tables, seed):
+    """The projector on the tables (central, psi, d) agrees with the
+    reference on random sparse vectors; returns the projector and the
+    reference's two maps."""
+    proj = IsotypicProjector(cover, *tables)
+    ref_int, ref_cyc = _reference_projector(cover, *tables)
     rng = random.Random(seed)
     for _ in range(10):
-        positions = rng.sample(range(proj.cover.n_edges), rng.randrange(1, 12))
+        positions = rng.sample(range(cover.n_edges), rng.randrange(1, 12))
         vec = {e: rng.choice((-1, 1)) * rng.randrange(1, 50) for e in positions}
         assert proj.apply_int(vec) == ref_int(vec)
         cyc = {e: tuple(rng.randrange(-9, 10) for _ in range(proj.deg)) for e in positions}
         assert proj.apply_cyc(cyc) == ref_cyc(cyc)
-    return ref_int, ref_cyc
+    return proj, ref_int, ref_cyc
 
 
 def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witness_cover):
@@ -1131,8 +1146,7 @@ def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witnes
         (full, build_cover(quotient_from_bundle(full))),
         (r2, build_cover(quotient_from_bundle(r2))),
     ):
-        proj = _projector(cover, bundle)
-        ref_int, ref_cyc = _matches_reference(proj, 2304)
+        proj, ref_int, ref_cyc = _matches_reference(cover, _tables(cover, bundle), 2304)
         # an elevation class is killed and its image goes through apply_cyc
         _, vec = elevation_class(cover, GroupWord(FREE2, (1, 2, 2)), 5)
         assert proj.apply_int(vec) == ref_int(vec) == {}
@@ -1141,8 +1155,9 @@ def test_projector_kernel_matches_reference(sorted_witness_bundle, sorted_witnes
 
 
 def test_projector_is_exact_beyond_int64(sorted_witness_bundle, sorted_witness_cover):
-    proj = _projector(sorted_witness_cover, sorted_witness_bundle)
-    ref_int, ref_cyc = _reference_projector(proj)
+    tables = _tables(sorted_witness_cover, sorted_witness_bundle)
+    proj = IsotypicProjector(sorted_witness_cover, *tables)
+    ref_int, ref_cyc = _reference_projector(sorted_witness_cover, *tables)
     # the results agree with the reference for orbit sums within int64
     # (at most 81 * 2 * 1 times the largest coefficient) and past it
     safe = (2 ** 63 - 1) // 162
@@ -1158,13 +1173,10 @@ def test_projector_is_exact_beyond_int64(sorted_witness_bundle, sorted_witness_c
 
 @pytest.mark.parametrize("d", [4, 5, 6])
 def test_projector_matches_reference_at_composite_and_larger_d(d):
-    # on the cover of (Z/d)^2, which is abelian, C = <x1> is central and free
-    cover = build_cover(FiniteQuotient(FREE2, (ResidueImage((1, 0), d), ResidueImage((0, 1), d))))
-    central, psi = _x1_slice(cover, d)
-    proj = IsotypicProjector(cover, central, psi, d)
+    cover = _residue_cover(d)
+    proj, ref_int, ref_cyc = _matches_reference(cover, (*_x1_slice(cover, d), d), d)
     # Phi_4, Phi_5 and Phi_6 have degrees 2, 4 and 2
     assert proj.deg == {4: 2, 5: 4, 6: 2}[d]
-    ref_int, ref_cyc = _matches_reference(proj, d)
     for pos in range(cover.cotree.size):
         once = proj.apply_int(cover.fundamental_cycle(pos))
         assert once == ref_int(cover.fundamental_cycle(pos))
@@ -1222,17 +1234,33 @@ def test_projector_refuses_a_psi_that_is_not_additive(
     shifted = [(p + 1) % 3 for p in psi]
     with pytest.raises(PropertyViolation, match="not additive") as exc:
         IsotypicProjector(sorted_witness_cover, central, shifted, 3)
-    # psi(1) = 1 != psi(1) + psi(1)
-    assert exc.value.counterexample == (0, 0)
+    # the generators of C = (Z/3)^4 may take any psi, but then the identity
+    # has phase 0, not 1
+    assert exc.value.counterexample == 0 and "psi(0) = 1" in str(exc.value)
+    # x1 has order 4 on (Z/4)^2, and 4 psi(x1) = 1 mod 3: the phase x1
+    # adds does not come back to 0 at vertex 0
+    cover = _residue_cover(4)
+    central, psi = _x1_slice(cover, 3)
+    with pytest.raises(PropertyViolation, match="not additive") as exc:
+        IsotypicProjector(cover, central, psi, 3)
+    assert exc.value.counterexample == (0, central[1])
 
 
 def test_projector_refuses_a_slice_that_is_not_closed(
     sorted_witness_bundle, sorted_witness_cover
 ):
-    # vertex 1, a generator image, joins C with psi = 0: its products leave C
+    # vertex 1, a generator image, joins C with psi = 0: its cube is in C
+    # with psi != 0, so the phase x1 adds is not 0 at vertex 0
     central, psi = central_slice(sorted_witness_cover, sorted_witness_bundle)
-    with pytest.raises(PropertyViolation, match="not additive"):
+    with pytest.raises(PropertyViolation, match="not additive") as exc:
         IsotypicProjector(sorted_witness_cover, central + [1], psi + [0], 3)
+    assert exc.value.counterexample == (0, 1)
+    # on (Z/4)^2, 0 and x1 make the group of x1, which holds x1^2 too
+    cover = _residue_cover(4)
+    powers, _ = _x1_slice(cover, 4)
+    with pytest.raises(PropertyViolation, match="not closed") as exc:
+        IsotypicProjector(cover, powers[:2], [0, 1], 4)
+    assert exc.value.counterexample == powers[2]
 
 
 def test_projector_refuses_tables_that_do_not_match(sorted_witness_cover):
@@ -1243,14 +1271,70 @@ def test_projector_refuses_tables_that_do_not_match(sorted_witness_cover):
 
 
 def test_central_orbits_refuse_an_action_that_is_not_free():
-    # the swap of vertices 0 and 1 fixes vertex 2
-    perms = np.array([[0, 1, 2], [1, 0, 2]])
+    # on (Z/2)^2, C = <x1> = {0, 1}; deck maps act freely, so only a vertex
+    # listed twice leaves an orbit short of the |C| points the tables count
+    cover = _residue_cover(2)
     with pytest.raises(PropertyViolation, match="does not act freely") as exc:
-        _central_orbits(perms, np.array([0, 1]))
-    assert exc.value.counterexample == 2
-    orbit, phase, members = _central_orbits(np.array([[0, 1, 2, 3], [1, 0, 3, 2]]), np.array([0, 1]))
+        _central_orbits(cover, [0, 1, 1], [0, 1, 1], 2)
+    assert exc.value.counterexample == 0
+    orbit, phase, members = _central_orbits(cover, [0, 1], [0, 1], 2)
     assert members.tolist() == [[0, 1], [2, 3]]
     assert orbit.tolist() == [0, 0, 1, 1] and phase.tolist() == [0, 1, 0, 1]
+
+
+def _reference_central_orbits(cover, central, psi):
+    """The stack of |C| deck maps the generator labelling replaced, kept as
+    an oracle: orbit O is the rank of its least vertex r_O, and
+    members[O, n] = c_n r_O has phase psi(c_n)."""
+    perms = np.array([cover.deck_perm(v) for v in central])
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(cover.n_vertices))
+    members = perms[:, reps].T
+    orbit = np.empty(cover.n_vertices, dtype=np.int64)
+    orbit[members] = np.arange(len(members))[:, None]
+    phase = np.empty(cover.n_vertices, dtype=np.int64)
+    phase[members] = psi
+    return orbit, phase, members
+
+
+def test_central_orbits_match_the_stack_of_deck_maps(sorted_witness_bundle, sorted_witness_cover):
+    # the covers of test_projector_kernel_matches_reference, the two-component
+    # bundle, and (Z/d)^2 at d = 4, 5, 6
+    cases = [(sorted_witness_cover, _tables(sorted_witness_cover, sorted_witness_bundle))]
+    for bundle in (assemble_witness_free(3, 2, 1, "full"),
+                   assemble_witness_free(2, 2, None, "sorted"), _two_component_bundle()):
+        cover = build_cover(quotient_from_bundle(bundle))
+        cases.append((cover, _tables(cover, bundle)))
+    for d in (4, 5, 6):
+        cover = _residue_cover(d)
+        cases.append((cover, (*_x1_slice(cover, d), d)))
+    for cover, (central, psi, d) in cases:
+        orbit, phase, members = _central_orbits(cover, central, psi, d)
+        ref_orbit, ref_phase, ref_members = _reference_central_orbits(cover, central, psi)
+        assert np.array_equal(orbit, ref_orbit) and np.array_equal(phase, ref_phase)
+        assert np.array_equal(members, np.sort(ref_members, axis=1))
+
+
+def test_the_d6_crt_witness_cover_is_certified():
+    # the CRT lift of the r = 2 and r = 3 sorted witnesses: C has 648
+    # elements, labelled from a handful of deck maps
+    bundle = crt_lift([assemble_witness_free(2, 2, 1, "sorted"),
+                       assemble_witness_free(3, 2, 1, "sorted")])
+    cover = build_cover(quotient_from_bundle(bundle))
+    central, psi, d = _tables(cover, bundle)
+    proj = IsotypicProjector(cover, central, psi, d)
+    rec = isotypic_projection_check(proj, bundle.exponent)
+    assert (d, proj.certified["orbits"]) == (6, 108)
+    assert (rec["group_order"], rec["central_order"], rec["dim_h1"]) == (69_984, 648, 69_985)
+    assert rec["elements_certified"] == 68_040
+    # swap psi at the last central vertex and the last one before it with
+    # another value: the generators still give the old psi there
+    a = len(psi) - 1
+    b = max(n for n in range(a) if psi[n] != psi[a])
+    swapped = list(psi)
+    swapped[a], swapped[b] = psi[b], psi[a]
+    with pytest.raises(PropertyViolation, match="not additive") as exc:
+        IsotypicProjector(cover, central, swapped, d)
+    assert exc.value.counterexample == central[b]
 
 
 def test_group_sweep_agrees_with_the_reference_on_short_words(
@@ -1263,11 +1347,12 @@ def test_group_sweep_agrees_with_the_reference_on_short_words(
         (full, build_cover(quotient_from_bundle(full))),
         (r2, build_cover(quotient_from_bundle(r2))),
     ):
-        proj = _projector(cover, bundle)
-        rec = isotypic_projection_check(proj, bundle.exponent, max_word_len=3)
+        tables = _tables(cover, bundle)
+        rec = isotypic_projection_check(IsotypicProjector(cover, *tables), bundle.exponent,
+                                        max_word_len=3)
         # every d-primitive word is certified, so the slow path kills each
         # short one at any basepoint
-        ref_int, _ = _reference_projector(proj)
+        ref_int, _ = _reference_projector(cover, *tables)
         primitive = d_primitive_predicate(bundle.modulus)
         words = [w for w in reduced_words(FREE2, 3) if primitive(w)]
         assert rec["words_annihilated"] == len(words)
@@ -1359,7 +1444,10 @@ def test_witness_e2e_reports_a_projector_it_cannot_build(
         ("witness-free", "pass"), ("gaschutz", "pass"), ("isotypic-invariants", "fail")
     ]
     details = checks[-1]["details"]
-    assert details["counterexample"] is not None and details["error"]
+    if fault == "swap":  # the first generator of C is refused its deck map
+        assert f"deck_perm({details['counterexample']})" in details["error"]
+    else:  # psi + 1 is 1 at the identity
+        assert details["counterexample"] == 0 and "psi(0) = 1" in details["error"]
 
 
 def test_projector_refuses_a_generator_permutation_that_is_not_a_deck_map(

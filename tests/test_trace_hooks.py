@@ -38,9 +38,10 @@ def test_trace_cli_records_the_projector(tmp_path):
     )
     assert metrics["covers.projector.init.calls"] == 1
     # the invariants are certified at construction, with one deck map per
-    # central vertex and per generator; only the witness cycle is projected
+    # generator of C = (Z/3)^4 and per generator image; only the witness
+    # cycle is projected
     assert metrics["covers.projector.apply.calls"] == 1
-    assert metrics["covers.deck_perm.calls"] == 81 + 2
+    assert metrics["covers.deck_perm.calls"] == 4 + 2
     assert metrics["covers.projector.apply.out_nnz"] > 0
     # word orders are read off the cover's graph, not multiplied out in
     # the algebra
