@@ -26,7 +26,9 @@ values can be shared freely.
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import mul
 
 from .errors import InvalidConfig, NotAUnit, SpecMismatch, TooLarge
 from .modular import is_prime
@@ -67,12 +69,23 @@ class AlgebraSpec:
     are zero.  The spec is the one place that knows how its kind spells a
     monomial: the key of 1, the degree, the sort order, the JSON form and
     the word adjacency rule.
+
+    ``reads``, a set S of admissible words of degree D (word kinds only,
+    kept as a sorted tuple), makes the algebra the quotient A_S of A by
+    the degree-D words outside S.  A degree-D word times any monomial of
+    positive degree is zero, so any set of them spans a two-sided ideal,
+    and the projection A -> A_S (:func:`project`) is a ring map: it keeps
+    every coefficient below degree D and the coefficients on S, and
+    products in A_S compute only those (:func:`_mul_read_terms`).  None,
+    the default, is A itself.  ``repr`` leaves ``reads`` out: the ids of
+    parametrized tests print specs of A, and S can be long.
     """
 
     kind: str
     r: int
     k: int
     ngens: int
+    reads: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,11 +103,44 @@ class AlgebraSpec:
             raise InvalidConfig(f"generator count out of range: {self.ngens}")
         if self.kind == "m" and (self.ngens % 2 or self.ngens < 2):
             raise InvalidConfig("m kind needs an even symbol count X_i, Y_i")
+        if self.reads is not None:
+            if self.kind == "quat":
+                raise InvalidConfig("the quat kind has no quotient by top-degree words")
+            self._set_reads(self.reads)
+
+    def _set_reads(self, words):
+        """Check S and keep it as a sorted tuple, with the tables its
+        products read beside the fields, where they are neither compared
+        nor hashed: ``read_set``, S as a frozenset, and ``read_splits``,
+        each word w of S with its D + 1 prefixes and the matching
+        suffixes.  The coefficient of w in a * b is the sum over the
+        splits w = p q of a[p] b[q], and every split of an admissible word
+        is admissible."""
+        full, words = replace(self, reads=None), list(words)
+        for word in words:
+            if not (isinstance(word, bytes) and len(word) == self.cap and monomial_ok(full, word)):
+                raise InvalidConfig(
+                    f"read monomial {word!r} is not an admissible word of degree {self.cap}"
+                )
+        reads, ends = tuple(sorted(set(words))), range(self.cap + 1)
+        put = object.__setattr__
+        put(self, "reads", reads)
+        put(self, "read_set", frozenset(reads))
+        put(self, "read_splits", tuple(
+            (w, tuple(w[:i] for i in ends), tuple(w[i:] for i in ends)) for w in reads
+        ))
+        put(self, "_full", full)
 
     @property
     def cap(self) -> int:
         """Truncation degree D = r^k."""
         return self.r ** self.k
+
+    @property
+    def full(self):
+        """The algebra A this spec is a quotient of: itself when ``reads``
+        is None."""
+        return self if self.reads is None else self._full
 
     # -- the per-kind monomial format ----------------------------------
 
@@ -155,7 +201,8 @@ def quat_spec(r: int, k: int) -> AlgebraSpec:
 
 
 def monomial_ok(spec: AlgebraSpec, mono) -> bool:
-    """Admissibility of a single monomial under the spec's relations."""
+    """Admissibility of a single monomial under the spec's relations; in a
+    quotient A_S a word of degree D must lie in S."""
     cap = spec.cap
     if spec.kind == "quat":
         u, v, unit = mono
@@ -164,7 +211,9 @@ def monomial_ok(spec: AlgebraSpec, mono) -> bool:
         return False
     if any(c >= spec.ngens for c in mono):
         return False
-    return all(spec.adjacent_ok(a, b) for a, b in zip(mono, mono[1:]))
+    if not all(spec.adjacent_ok(a, b) for a, b in zip(mono, mono[1:])):
+        return False
+    return spec.reads is None or len(mono) < cap or mono in spec.read_set
 
 
 def count_basis_monomials(spec: AlgebraSpec) -> int:
@@ -341,23 +390,63 @@ def _mul_quat_terms(r, top, aterms, bterms):
     return reduced
 
 
+def _bucket_count(spec, terms, last):
+    """The number of buckets :func:`_word_buckets` makes of ``terms``,
+    counted without building them."""
+    if spec.kind == "free":
+        return len(set(map(len, terms)))
+    return len({(len(mono), mono[-1:] if last else mono[:1]) for mono in terms})
+
+
+def _drop_unread(spec, terms):
+    """``terms`` without the degree-D words outside ``spec.reads``."""
+    cap, reads = spec.cap, spec.read_set
+    return {m: c for m, c in terms.items() if len(m) < cap or m in reads}
+
+
 def _mul_terms(spec, aterms, bterms, top=None):
     """Product of two term maps with coefficients in [1, r), by the spec's
     kernel, keeping the degrees <= ``top`` (default the truncation degree
     D).  The result's coefficients are reduced mod r, zeros dropped.
 
     Word products with at least ``BLOCK_PAIRS`` term pairs per pair of
-    buckets go by :func:`_mul_word_blocks`; every other product, the
-    quaternion ones included, goes one term pair at a time."""
+    buckets go by :func:`_mul_word_blocks`; the buckets are counted first
+    and built only for that path.  Every other product, the quaternion
+    ones included, goes one term pair at a time.  Products to degree D
+    in a quotient A_S go by :func:`_mul_read_terms`."""
     top = spec.cap if top is None else top
     if spec.kind == "quat":
         return _mul_quat_terms(spec.r, top, aterms, bterms)
+    if spec.reads is not None and top == spec.cap:
+        return _mul_read_terms(spec, aterms, bterms)
     pairs = len(aterms) * len(bterms)
     if pairs >= BLOCK_PAIRS:
-        left, right = _word_buckets(spec, aterms, True), _word_buckets(spec, bterms, False)
-        if pairs >= BLOCK_PAIRS * len(left) * len(right):
+        buckets = _bucket_count(spec, aterms, True) * _bucket_count(spec, bterms, False)
+        if pairs >= BLOCK_PAIRS * buckets:
+            left, right = _word_buckets(spec, aterms, True), _word_buckets(spec, bterms, False)
             return _mul_word_blocks(spec, top, left, right)
     return _mul_word_loop(spec, top, aterms, bterms)
+
+
+def _mul_read_terms(spec, aterms, bterms):
+    """Product in the quotient A_S = ``spec``, to degree D.  At degree D
+    it computes each word w of S as the sum of a[p] b[q] over its D + 1
+    splits w = p q, and below D it computes as in A, skipping that pass
+    when the factors' least degrees sum to D.  A product with fewer term
+    pairs than S has splits is instead taken whole in A and its degree-D
+    words outside S dropped.  Each path is the faster one on the products
+    the witness sweeps send it (README, "Performance notes")."""
+    cap = spec.cap
+    if len(aterms) * len(bterms) < len(spec.reads) * (cap + 1):
+        return _drop_unread(spec, _mul_terms(spec.full, aterms, bterms))
+    low = min(map(len, aterms), default=cap) + min(map(len, bterms), default=cap)
+    out = _mul_terms(spec, aterms, bterms, cap - 1) if low < cap else {}
+    r, aget, bget = spec.r, aterms.get, bterms.get
+    for word, heads, tails in spec.read_splits:
+        c = sum(map(mul, map(aget, heads, repeat(0)), map(bget, tails, repeat(0)))) % r
+        if c:
+            out[word] = c
+    return out
 
 
 class AlgElement:
@@ -696,6 +785,18 @@ def truncated_product(a: AlgElement, b: AlgElement, top: int) -> AlgElement:
     return AlgElement._raw(spec, _mul_terms(spec, a.terms, b.terms, top))
 
 
+def project(a: AlgElement, spec: AlgebraSpec) -> AlgElement:
+    """The image of ``a``, an element of ``spec.full``, in the quotient
+    ``spec`` = A_S: the degree-D words outside S are dropped, and an
+    element with no degree-D term keeps its terms as they are."""
+    if a.spec != spec.full:
+        raise SpecMismatch(f"project takes an element of the full algebra {spec.full}")
+    terms = a.terms
+    if spec.reads is not None and spec.cap in map(len, terms):
+        terms = _drop_unread(spec, terms)
+    return AlgElement._raw(spec, terms)
+
+
 def _digit_plan(spec: AlgebraSpec, e: int):
     """The base-r digits e_j of e for r^j <= D, and need[j], the highest
     degree of z_j = y^(r^j) that can still reach c (1 + y)^e, for e >= 0:
@@ -745,7 +846,10 @@ def power(a: AlgElement, e: int) -> AlgElement:
     i, j, k in degree 0, or c = 0) is raised by plain square-and-multiply,
     dropping only partial powers that start above degree D.
     Every ring product goes through ``*``, where the benchmark's layer
-    wrappers count it.
+    wrappers count it.  In a quotient A_S those products compute degree D
+    only on S, and the projection A -> A_S is a ring map, so
+    power(project(a, A_S), e) == project(power(a, e), A_S): the witness
+    sweeps power there, keeping just the top-degree words chi reads.
 
     A negative e needs a = c(1 + y) with c != 0 and 1 + y a unit; only
     1 + y is inverted, a^e = c^e ((1 + y)^(-1))^|e|.  Any other element

@@ -354,7 +354,10 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--guard-points", type=_at_least(1), default=10 ** 8)
+    p.add_argument("--guard-points", type=_at_least(1), default=10 ** 8,
+                   help="refuse the nonvanishing check when its term evaluations, "
+                        "(r^n - 1) points times the polynomial's terms, pass this "
+                        "(default 10^8)")
     common(p)
     p.set_defaults(func=cmd_nvpoly)
 

@@ -314,11 +314,16 @@ def verify_nonvanishing(poly: Poly, limit: int = 10 ** 8) -> dict:
     """Brute-force evaluation on every nonzero point of F_r^n.
 
     Returns the details of the check; a zero raises PropertyViolation with
-    the point as its counterexample, and TooLarge guards the domain size.
+    the point as its counterexample.  TooLarge refuses the check before any
+    point is evaluated when its work, the r^n - 1 points times the terms of
+    the polynomial, passes ``limit`` term evaluations.
     """
     r, n = poly.r, poly.nvars
-    if r ** n > limit:
-        raise TooLarge(f"{r}^{n} points exceed the guard {limit}")
+    if (r ** n - 1) * len(poly.terms) > limit:
+        raise TooLarge(
+            f"{r}^{n} - 1 points times {len(poly.terms)} terms exceed the guard of "
+            f"{limit} term evaluations"
+        )
     checked = 0
     for point in itertools.product(range(r), repeat=n):
         if not any(point):

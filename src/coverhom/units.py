@@ -73,7 +73,8 @@ class CentralCharacter:
     """Homomorphism C -> F_r: a weighted sum of top-degree coefficients.
 
     ``items`` is a tuple of (monomial key, weight) pairs; every monomial
-    must be admissible of degree exactly r^k.
+    must be admissible of degree exactly r^k.  ``words`` is the set of
+    those monomials.
     """
 
     spec: AlgebraSpec
@@ -87,10 +88,15 @@ class CentralCharacter:
                 raise InvalidConfig(f"monomial {mono!r} is not of top degree")
             if not 0 < weight < self.spec.r:
                 raise InvalidConfig(f"weight {weight} out of range")
+        object.__setattr__(self, "words", frozenset(mono for mono, _ in self.items))
 
     def __call__(self, c: AlgElement) -> int:
-        if c.spec != self.spec:
+        """The character of c, an element of its algebra A or of a
+        quotient A_S of A whose S holds every word the character reads."""
+        if c.spec.full != self.spec:
             raise InvalidConfig("element from a different algebra")
+        if c.spec.reads is not None and not self.words <= c.spec.read_set:
+            raise InvalidConfig("element from a quotient that drops a word the character reads")
         if not in_central_subgroup(c):
             raise NotInC("character evaluated outside 1 + (top degree)")
         total = 0

@@ -32,6 +32,7 @@ from .algebra import (
     one,
     power,
     power_reach,
+    project,
     quat_spec,
     quat_term,
     sorted_spec,
@@ -377,8 +378,18 @@ class MagnusFactor:
     spec: AlgebraSpec
     chi: CentralCharacter
 
+    @cached_property
+    def reading(self) -> AlgebraSpec:
+        """The quotient A_S of the factor's algebra, S the words chi reads."""
+        return replace(self.spec, reads=self.chi.words)
+
     def image(self, word: GroupWord, top=None) -> AlgElement:
         return magnus_image(word, self.spec, top)
+
+    def power(self, g: AlgElement, e: int) -> AlgElement:
+        """The image of g^e in A_S: exact below the top degree D, where
+        centrality is read, and on the words chi reads at D."""
+        return power(project(g, self.reading), e)
 
     def chi_value(self, central: AlgElement) -> int:
         return self.chi(central)
@@ -404,6 +415,11 @@ class QuatFactor:
         return quaternion_image(
             collapse_to_genus_two(word, self.pair, self.swapped), self.spec, top
         )
+
+    def power(self, g: AlgElement, e: int) -> AlgElement:
+        """g^e in the full algebra: the degree-0 units i, j, k mix the
+        top-degree monomials, and the products are at most 4 x 4 terms."""
+        return power(g, e)
 
     def chi_value(self, central: AlgElement) -> int:
         return (self.weight * self.chi(central)) % self.spec.r
@@ -457,9 +473,18 @@ class WitnessBundle:
 
     def verdict(self, images):
         """(whether every factor's e-th power is central, psi of the powers
-        or None when one is not)."""
+        or None when one is not).
+
+        Each factor powers by its ``power``: a word-algebra factor in the
+        quotient A_S of its algebra, S the degree-D words its character
+        reads.  The projection to A_S is a ring map that keeps the
+        constant term, every degree below D and the coefficients on S,
+        which is all the verdict reads, so it is exact."""
         e = self.exponent
-        powered = tuple(tuple(power(g, e) for g in comp) for comp in images)
+        powered = tuple(
+            tuple(f.power(g, e) for f, g in zip(comp.factors, imgs))
+            for comp, imgs in zip(self.components, images)
+        )
         if not all(in_central_subgroup(c) for comp in powered for c in comp):
             return False, None
         return True, self.psi_of_centrals(powered)
@@ -610,7 +635,9 @@ def check_witness_word(bundle: WitnessBundle, word: GroupWord, memo=None) -> int
     and the value is nonzero whenever alpha is nonzero mod d.
 
     The images are built only up to ``bundle.sweep_top``, the degree the
-    e-th power reads, so the powers are exact.  ``memo``, a dict kept
+    e-th power reads, so the powers are exact; each word-algebra power is
+    taken in the quotient that keeps just the top-degree words its
+    character reads (:meth:`WitnessBundle.verdict`).  ``memo``, a dict kept
     across the words of one sweep, maps those truncated images to their
     (central, psi) verdict, so each distinct image is powered once; the
     alpha, expected-value and nonzero checks still run on every word.

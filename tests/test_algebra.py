@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from coverhom.algebra import (
     count_basis_monomials,
     iter_basis_monomials,
     monomial_ok,
+    project,
     truncate,
     truncated_product,
 )
@@ -51,6 +53,44 @@ def test_spec_validation():
     # r = 2 is fine for the free/sorted kinds
     assert free_spec(2, 1, 2).cap == 2
     assert sorted_spec(2, 3, 2).cap == 8
+
+
+# m_spec(3, 1, 2) with S = {X1 X2 X1, Y2 Y2 Y2}, as generator indices
+QUOTIENT = replace(m_spec(3, 1, 2), reads=[bytes([0, 2, 0]), bytes([3, 3, 3])])
+
+
+def test_quotient_spec_validation():
+    spec = m_spec(3, 1, 2)
+    assert QUOTIENT.full == spec and QUOTIENT.reads == (bytes([0, 2, 0]), bytes([3, 3, 3]))
+    # S is kept as a sorted tuple, so equal sets give equal specs
+    assert replace(spec, reads={bytes([3, 3, 3]), bytes([0, 2, 0])}) == QUOTIENT
+    with pytest.raises(InvalidConfig, match="degree 3"):
+        replace(spec, reads=[bytes([0, 2])])  # below degree D
+    with pytest.raises(InvalidConfig, match="admissible"):
+        replace(spec, reads=[bytes([0, 1, 2])])  # X1 Y1 is killed
+    with pytest.raises(InvalidConfig, match="admissible"):
+        replace(spec, reads=[bytes([0, 2, 4])])  # no fifth generator
+    with pytest.raises(InvalidConfig, match="admissible"):
+        replace(spec, reads=[bytes([0, 2, 0]), [0, 2, 2]])  # a list is no monomial key
+    with pytest.raises(InvalidConfig, match="quat"):
+        replace(quat_spec(3, 1), reads=[(2, 1, 0)])
+    with pytest.raises(InvalidConfig, match="quat"):
+        replace(quat_spec(3, 1), reads=[])
+
+
+def test_quotient_elements_keep_only_the_read_top_words():
+    spec = QUOTIENT.full
+    a = AlgElement(spec, {b"": 1, bytes([0, 2]): 2, bytes([0, 2, 0]): 1, bytes([2, 2, 2]): 1})
+    assert project(a, QUOTIENT).terms == {b"": 1, bytes([0, 2]): 2, bytes([0, 2, 0]): 1}
+    # a top word outside S is no basis monomial of A_S
+    with pytest.raises(InvalidConfig):
+        AlgElement(QUOTIENT, {bytes([2, 2, 2]): 1})
+    with pytest.raises(SpecMismatch):
+        project(a, replace(m_spec(5, 1, 2), reads=[]))
+    with pytest.raises(SpecMismatch):
+        project(project(a, QUOTIENT), QUOTIENT)
+    with pytest.raises(SpecMismatch):
+        project(a, QUOTIENT) * a
 
 
 def test_monomial_counts():

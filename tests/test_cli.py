@@ -167,6 +167,19 @@ def test_witness_e2e_orbit_rank_guard(capsys):
     assert "exceeds --guard-dim 10" in checks[-1]["details"]["error"]
 
 
+def test_nonvanishing_guard_bounds_the_evaluations(capsys):
+    # 3^12 - 1 = 531,440 points fit the default guard of 10^8, but the
+    # k = 3 polynomial has 4,095 terms: about 1,500 s of evaluations
+    t0 = time.perf_counter()
+    assert main(["nvpoly", "--r", "3", "--n", "12"]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "4095 terms" in lines[0] and "term evaluations" in lines[0]
+    (last,) = json.loads(captured.out)["checks"]
+    assert (last["name"], last["status"]) == ("nonvanishing", "guard")
+
+
 def test_error_record_takes_the_check_name(capsys):
     # the m-kind factor at r = 5, g = 2 is beyond the sweep guard: the
     # witness sweep stops with the name its pass record would have

@@ -4,12 +4,13 @@ with many term pairs per bucket pair go by blocks instead, so the cases
 here sit on both sides of ``BLOCK_PAIRS``."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from coverhom import AlgebraSpec, free_spec, m_spec, random_element, sorted_spec, zero
 from coverhom import algebra
-from coverhom.algebra import _QMUL, BLOCK_PAIRS, _mul_terms, power, symbol
+from coverhom.algebra import _QMUL, BLOCK_PAIRS, _mul_terms, power, project, symbol
 
 
 def _reference_mul(spec, aterms, bterms, top=None):
@@ -135,3 +136,31 @@ def test_kernel_cancels_across_left_degrees(spec, d, block_calls):
     assert got == _reference_mul(spec, a, b)
     assert sorted({len(m) for m in got}) == [n for n in (2 * d, 2 * d + 2) if n <= spec.cap]
 
+
+QUOTIENTS = [free_spec(3, 2, 2), sorted_spec(3, 2, 3), m_spec(5, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", QUOTIENTS, ids=["free", "sorted", "m"])
+def test_quotient_products_match_the_projected_reference(spec):
+    # in A_S a product to degree D is taken whole, its degree-D words
+    # outside S dropped, when it has fewer term pairs than S has splits,
+    # and otherwise read at degree D off the splits of each word of S,
+    # with no pass below D when the factors' least degrees sum to D
+    rng = random.Random(QUOTIENTS.index(spec))
+    top = [m for m in algebra.iter_basis_monomials(spec) if len(m) == spec.cap]
+    y = _full_linear(spec, rng)
+    powers = [power(y, i) for i in range(spec.cap + 1)]
+    paths = set()
+    for _ in range(60):
+        quotient = replace(spec, reads=rng.sample(top, rng.randrange(1, 25)))
+        # mixed degrees, so that degree D and the degrees below it both get terms
+        a, b = (sum(rng.sample(powers, rng.randrange(1, 4)), zero(spec)) for _ in range(2))
+        pa, pb = project(a, quotient), project(b, quotient)
+        got = _mul_terms(quotient, pa.terms, pb.terms)
+        assert got == {m: c for m, c in _reference_mul(spec, a.terms, b.terms).items()
+                       if len(m) < spec.cap or m in quotient.read_set}
+        if len(pa.terms) * len(pb.terms) < len(quotient.reads) * (spec.cap + 1):
+            paths.add("whole")
+        else:
+            paths.add(min(map(len, pa.terms)) + min(map(len, pb.terms)) < spec.cap)
+    assert paths == {"whole", False, True}

@@ -3,12 +3,20 @@
 degrees above a bound.  The witness sweeps build their images only that
 far, so these properties are what make the truncated sweep exact."""
 
+import functools
 import random
+from dataclasses import replace
 
 import pytest
 
 from coverhom import free_spec, m_spec, one, power, quat_spec, random_element, sorted_spec
-from coverhom.algebra import power_reach, truncate, truncated_product
+from coverhom.algebra import (
+    iter_basis_monomials,
+    power_reach,
+    project,
+    truncate,
+    truncated_product,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -65,3 +73,37 @@ def test_power_reach_values(spec):
     # every digit below r^(k+1) is zero: the power is the scalar c^e
     assert power_reach(spec, cap * r) == 0
     assert power(random_element(spec, random.Random(1), unit=True), cap * r) == one(spec)
+
+
+# the sweeps power word-algebra images in a quotient A_S, S a set of
+# degree-D words: the projection A -> A_S is a ring map, so it commutes
+# with powers, and the kernel computes degree D only on S
+QUOTIENT_SPECS = [
+    free_spec(3, 1, 2),
+    free_spec(5, 1, 2),
+    sorted_spec(3, 2, 2),
+    sorted_spec(5, 1, 3),
+    m_spec(3, 1, 2),
+    m_spec(5, 1, 2),
+    m_spec(3, 2, 2),
+]
+QUOTIENT_IDS = ["free3", "free5", "sorted3", "sorted5", "m3", "m5", "m3-k2"]
+
+
+@functools.cache
+def _top_words(spec):
+    return [m for m in iter_basis_monomials(spec) if len(m) == spec.cap]
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_SPECS, ids=QUOTIENT_IDS)
+def test_powers_in_a_quotient_are_the_projected_powers(spec):
+    rng = random.Random(QUOTIENT_SPECS.index(spec))
+    top = _top_words(spec)
+    for _ in range(8):
+        quotient = replace(spec, reads=rng.sample(top, rng.randrange(1, min(len(top), 24) + 1)))
+        a = random_element(spec, rng, max_terms=rng.randrange(1, 8), unit=True)
+        a = a * rng.randrange(1, spec.r)
+        for e in (spec.cap, 930, rng.randrange(2, 3000), -rng.randrange(1, 50)):
+            got = power(project(a, quotient), e)
+            assert got.spec == quotient
+            assert got == project(power(a, e), quotient), (a, e, quotient.reads)

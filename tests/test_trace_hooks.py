@@ -66,6 +66,19 @@ def test_trace_cli_counts_power_products(tmp_path):
     assert 0 < metrics["algebra.power.mul_per_call"] < 5
 
 
+def test_trace_cli_surface_powers_keep_only_the_read_words(tmp_path):
+    # the m-factor powers run in the quotient that keeps, at the top
+    # degree 9, only the 19 words its character reads: full degree-9
+    # products gave 564,306 output terms over the sweep, the quotient
+    # about 29,000, from the same 401 powers of 4 products each
+    metrics = _traced(
+        tmp_path, "verify-surface", "--r", "3", "--genus", "2", "--k", "2", "--samples", "0"
+    )
+    assert metrics["algebra.mul.out_terms"] < 60_000
+    assert metrics["algebra.power.calls"] == 401
+    assert metrics["algebra.power.mul_per_call"] == 4.0
+
+
 def test_trace_cli_walks_each_orbit_word_once(tmp_path):
     # the orbit rows of every basepoint are deck translates of one walk
     # per word, and a word's inverse gives the negated row, so

@@ -479,6 +479,26 @@ def test_a_changed_character_weight_is_caught(name, comp, factor, item):
     _assert_caught_at_the_first_word(dataclasses.replace(bundle, components=tuple(comps)))
 
 
+@pytest.mark.parametrize("name", ["free", "surface"])
+def test_a_character_word_left_out_of_the_quotient_is_refused(monkeypatch, name):
+    # the verdict powers the word-algebra image in A_S, S the words chi
+    # reads; a word chi weighs but S left out would read 0 there, so the
+    # character refuses such a quotient, on the first word of the sweep
+    bundle = _bundle(name)
+    factor = bundle.components[0].factors[0]
+    assert factor.reading.reads == tuple(sorted(mono for mono, _ in factor.chi.items))
+    _, *kept = factor.chi.items
+    narrow = dataclasses.replace(factor.spec, reads=[mono for mono, _ in kept])
+    word = word_from_exponents(bundle.alphabet, [1] * bundle.rank)
+    images = bundle.images(word, bundle.sweep_top)
+    assert bundle.verdict(images)[0]
+    monkeypatch.setattr(witness.MagnusFactor, "reading", property(lambda f: narrow))
+    with pytest.raises(InvalidConfig, match="drops a word the character reads"):
+        bundle.verdict(images)
+    with pytest.raises(InvalidConfig, match="drops a word the character reads"):
+        verify_witness(bundle, **SWEEP)
+
+
 def _doubled_linear_part(kind_images, index):
     """``kind_images`` with the linear part of generator ``index`` doubled."""
 
