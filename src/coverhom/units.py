@@ -19,7 +19,8 @@ readable off the top-degree slice.
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .algebra import (
     AlgElement,
@@ -27,6 +28,7 @@ from .algebra import (
     count_basis_monomials,
     monomial_ok,
     power,
+    project,
     random_element,
     symbol,
 )
@@ -103,6 +105,18 @@ class CentralCharacter:
         for mono, weight in self.items:
             total += weight * c.terms.get(mono, 0)
         return total % self.spec.r
+
+    @cached_property
+    def reading(self) -> AlgebraSpec:
+        """The quotient A_S of the character's algebra, S the words it
+        reads (word kinds only)."""
+        return replace(self.spec, reads=self.words)
+
+    def power(self, g: AlgElement, e: int) -> AlgElement:
+        """The image of g^e in A_S, for g in the character's algebra:
+        exact below the top degree D, where centrality is read, and on the
+        words the character reads at D."""
+        return power(project(g, self.reading), e)
 
     def render(self) -> str:
         probe = AlgElement._raw(self.spec, dict(self.items))
@@ -226,8 +240,11 @@ def verify_power_character(
     Walks one representative per linear class, which suffices because
     r^k-th powers depend only on the linear part (the freshman's-dream
     invariant, itself property-tested), then ``samples`` random sparse
-    units.  Raises PropertyViolation with the offending unit on failure,
-    and InvalidConfig, before any power, past ``MONOMIAL_GUARD``.
+    units.  Each unit is powered in the quotient A_S that chi reads
+    (:meth:`CentralCharacter.power`), which keeps every degree below D
+    and the words chi reads at D.  Raises PropertyViolation with the
+    offending unit on failure, and InvalidConfig, before any power, past
+    ``MONOMIAL_GUARD``.
     """
     check_monomial_guard(spec)
     chi = character_from_poly(spec, poly)
@@ -236,7 +253,7 @@ def verify_power_character(
 
     def check(g, vec):
         nonlocal tested
-        c = power(g, e)
+        c = chi.power(g, e)
         if not in_central_subgroup(c):
             raise PropertyViolation(
                 f"g^{e} not central for {g.render()}", counterexample=g.to_dict()

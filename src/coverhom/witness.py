@@ -32,7 +32,6 @@ from .algebra import (
     one,
     power,
     power_reach,
-    project,
     quat_spec,
     quat_term,
     sorted_spec,
@@ -378,18 +377,13 @@ class MagnusFactor:
     spec: AlgebraSpec
     chi: CentralCharacter
 
-    @cached_property
-    def reading(self) -> AlgebraSpec:
-        """The quotient A_S of the factor's algebra, S the words chi reads."""
-        return replace(self.spec, reads=self.chi.words)
-
     def image(self, word: GroupWord, top=None) -> AlgElement:
         return magnus_image(word, self.spec, top)
 
     def power(self, g: AlgElement, e: int) -> AlgElement:
-        """The image of g^e in A_S: exact below the top degree D, where
-        centrality is read, and on the words chi reads at D."""
-        return power(project(g, self.reading), e)
+        """The image of g^e in the quotient A_S that chi reads
+        (:meth:`CentralCharacter.power`)."""
+        return self.chi.power(g, e)
 
     def chi_value(self, central: AlgElement) -> int:
         return self.chi(central)
@@ -688,9 +682,11 @@ def sweep_words(
 ):
     """The class count and the words :func:`verify_witness` checks, in
     order: the positive word of each nonzero class, then ``samples``
-    random words.  Every nonzero class when ``exhaustive`` and d^rank is
-    at most ``CLASS_CAP``; else min(CLASS_CAP, samples, d^rank - 1)
-    distinct nonzero classes drawn at random (at least one)."""
+    random words, each distinct freely reduced word once, at its first
+    occurrence.  Every nonzero class when ``exhaustive`` and d^rank is at
+    most ``CLASS_CAP``; else min(CLASS_CAP, samples, d^rank - 1) distinct
+    nonzero classes drawn at random (at least one).  Every random word is
+    drawn, so the draws do not depend on which of them repeat."""
     rng = random.Random(seed)
     d, rank = bundle.modulus, bundle.rank
     if exhaustive and d ** rank <= CLASS_CAP:
@@ -708,8 +704,15 @@ def sweep_words(
         for _ in range(samples):
             yield random_word(bundle.alphabet, rng, rng.randrange(1, sample_len + 1))
 
+    def first_occurrences(words):
+        seen = set()
+        for word in words:
+            if word.letters not in seen:
+                seen.add(word.letters)
+                yield word
+
     words = (word_from_exponents(bundle.alphabet, vec) for vec in classes)
-    return len(classes), itertools.chain(words, random_words())
+    return len(classes), first_occurrences(itertools.chain(words, random_words()))
 
 
 def verify_witness(
@@ -722,11 +725,17 @@ def verify_witness(
     """Walk abelianisation classes via representative positive words, then
     random words (:func:`sweep_words`).  Exhaustive when d^rank is at most
     ``CLASS_CAP``, else sampled.  Word-algebra factors beyond
-    ``units.MONOMIAL_GUARD`` basis monomials are refused.  One memo serves
-    the whole sweep, so each distinct truncated image is raised to the
-    e-th power once.  When the power reads only degree 1, as for e = r^k,
-    the truncated images are fixed by the class mod d, so the sweep takes
-    at most d^rank powers per factor however many random words it checks.
+    ``units.MONOMIAL_GUARD`` basis monomials are refused.
+
+    Each distinct word is checked once: :func:`check_witness_word` is a
+    function of the bundle and the word alone, so a repeated draw would
+    only repeat its verdict.  ``samples`` counts the random draws,
+    ``words_checked`` the distinct words, class words included.  One memo
+    serves the whole sweep, so each distinct truncated image is raised to
+    the e-th power once.  When the power reads only degree 1, as for
+    e = r^k, the truncated images are fixed by the class mod d, so the
+    sweep takes at most d^rank powers per factor however many words it
+    checks.
     """
     for comp in bundle.components:
         for f in comp.factors:
@@ -734,11 +743,14 @@ def verify_witness(
                 check_monomial_guard(f.spec)
     classes, words = sweep_words(bundle, exhaustive, samples, seed, sample_len)
     memo = {}
+    checked = 0
     for word in words:
         check_witness_word(bundle, word, memo)
+        checked += 1
     return {
         "classes": classes,
         "samples": samples,
+        "words_checked": checked,
         "modulus": bundle.modulus,
         "exponent": bundle.exponent,
     }

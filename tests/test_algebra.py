@@ -22,12 +22,13 @@ from coverhom import (
 )
 from coverhom.algebra import (
     count_basis_monomials,
-    iter_basis_monomials,
     monomial_ok,
     project,
     truncate,
     truncated_product,
 )
+
+from basis_monomials import iter_basis_monomials
 
 ALL_SPECS = [
     free_spec(3, 1, 2),

@@ -12,6 +12,8 @@ from coverhom import AlgebraSpec, free_spec, m_spec, random_element, sorted_spec
 from coverhom import algebra
 from coverhom.algebra import _QMUL, BLOCK_PAIRS, _mul_terms, power, project, symbol
 
+from basis_monomials import iter_basis_monomials
+
 
 def _reference_mul(spec, aterms, bterms, top=None):
     """The product of two term maps, one term pair at a time, with every
@@ -128,7 +130,7 @@ def test_kernel_cancels_across_left_degrees(spec, d, block_calls):
     # + 2 (all of degree d): a word w of degree 2d + 1 is hit as
     # w[:d] * w[d:] with coefficient 1 and as w[:d+1] * w[d+1:] with 2, so
     # it cancels mod 3
-    words = [m for m in algebra.iter_basis_monomials(spec) if d <= len(m) <= d + 1]
+    words = [m for m in iter_basis_monomials(spec) if d <= len(m) <= d + 1]
     a = {m: 1 for m in words}
     b = {m: 2 if len(m) == d else 1 for m in words}
     got = _mul_terms(spec, a, b)
@@ -147,7 +149,7 @@ def test_quotient_products_match_the_projected_reference(spec):
     # and otherwise read at degree D off the splits of each word of S,
     # with no pass below D when the factors' least degrees sum to D
     rng = random.Random(QUOTIENTS.index(spec))
-    top = [m for m in algebra.iter_basis_monomials(spec) if len(m) == spec.cap]
+    top = [m for m in iter_basis_monomials(spec) if len(m) == spec.cap]
     y = _full_linear(spec, rng)
     powers = [power(y, i) for i in range(spec.cap + 1)]
     paths = set()

@@ -11,12 +11,13 @@ import pytest
 
 from coverhom import free_spec, m_spec, one, power, quat_spec, random_element, sorted_spec
 from coverhom.algebra import (
-    iter_basis_monomials,
     power_reach,
     project,
     truncate,
     truncated_product,
 )
+
+from basis_monomials import iter_basis_monomials
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -14,6 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _traced(tmp_path, *argv):
+    return _traced_run(tmp_path, *argv)[0]
+
+
+def _traced_run(tmp_path, *argv):
+    """The layer metrics and the report of one traced command."""
     layers = tmp_path / "layers.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -22,7 +27,7 @@ def _traced(tmp_path, *argv):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(layers.read_text())
+    return json.loads(layers.read_text()), json.loads(proc.stdout)
 
 
 def test_trace_cli_installs_and_records(tmp_path):
@@ -58,12 +63,17 @@ def test_trace_cli_counts_power_products(tmp_path):
     # AlgElement.__mul__ would vanish from the count.  The sweep's images
     # stop at degree 1, where the power reads them, so they are fixed by the
     # class mod 15 and the memo powers each of the 225 classes once in each
-    # of the two factors, however many random words the sweep checks.
-    metrics = _traced(
+    # of the two factors, however many random words the sweep checks.  The
+    # sweep checks each distinct word once, and the report counts them:
+    # some of the 30 draws repeat a word, so fewer than 224 + 30.
+    metrics, report = _traced_run(
         tmp_path, "crt-lift", "--primes", "3,5", "--n", "2", "--k", "1", "--samples", "30"
     )
     assert metrics["algebra.power.calls"] == 450
     assert 0 < metrics["algebra.power.mul_per_call"] < 5
+    (sweep,) = [c["details"] for c in report["checks"] if c["name"] == "witness-free"]
+    assert 224 < sweep["words_checked"] < 224 + 30
+    assert metrics["witness.check_witness_word.calls"] == sweep["words_checked"]
 
 
 def test_trace_cli_surface_powers_keep_only_the_read_words(tmp_path):

@@ -25,7 +25,8 @@ from coverhom import (
     symbol,
     verify_power_character,
 )
-from coverhom.algebra import AlgElement, monomial_ok
+from coverhom import units
+from coverhom.algebra import AlgElement, monomial_ok, project
 
 
 def test_abelianization_word():
@@ -209,6 +210,27 @@ def test_verify_power_character_exhaustive():
         chi = character_from_poly(spec, poly)
         val = chi(power(g, 3))
         assert (val == 0) == (vec == (0, 0))
+
+
+def test_verify_power_character_powers_in_the_characters_quotient(monkeypatch):
+    # chi reads only its own words at the top degree, so each unit is
+    # powered in the quotient A_S that keeps them, and its power there is
+    # the full power with the other top-degree words dropped
+    spec = free_spec(3, 1, 2)
+    poly = build_nonvanishing(3, 2, 1)
+    chi = character_from_poly(spec, poly)
+    powered = []
+
+    def recorded(g, e):
+        powered.append((g, e))
+        return power(g, e)
+
+    monkeypatch.setattr(units, "power", recorded)
+    verify_power_character(spec, poly, samples=30, seed=2)
+    assert len(powered) == 9 + 30
+    for g, e in powered:
+        assert g.spec == chi.reading and e == spec.cap
+        assert power(g, e) == project(power(AlgElement(spec, g.terms), e), chi.reading)
 
 
 def test_verify_power_character_holds_for_any_homogeneous_poly():

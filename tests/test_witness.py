@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+from unittest import mock
 
 import pytest
 
@@ -35,7 +36,7 @@ from coverhom import (
     verify_witness,
     word_from_exponents,
 )
-from coverhom import witness
+from coverhom import units, witness
 from coverhom.algebra import truncate
 from coverhom.witness import quat_power_poly, quat_sign, sweep_words
 
@@ -438,6 +439,40 @@ def test_check_witness_word_with_and_without_a_memo(name):
     assert len(memo) <= bundle.modulus ** bundle.rank
 
 
+def _draws(bundle, **sweep):
+    """Every word the sweep draws, repeats included, in order: the words
+    :func:`sweep_words` builds, recorded as they are built."""
+    drawn = []
+
+    def record(build):
+        def built(*args):
+            drawn.append(build(*args))
+            return drawn[-1]
+
+        return built
+
+    with mock.patch.object(
+        witness, "word_from_exponents", record(witness.word_from_exponents)
+    ), mock.patch.object(witness, "random_word", record(witness.random_word)):
+        for _ in sweep_words(bundle, **sweep)[1]:
+            pass
+    return drawn
+
+
+def _reference_verify(bundle, **sweep):
+    """The sweep as a loop over every draw, repeats included, through one
+    memo: what verify_witness must agree with, word for word."""
+    memo = {}
+    for word in _draws(bundle, **sweep):
+        check_witness_word(bundle, word, memo)
+
+
+def _violation(verify, bundle):
+    with pytest.raises(PropertyViolation) as info:
+        verify(bundle, **SWEEP)
+    return str(info.value), info.value.counterexample
+
+
 def _first_failure(bundle, words, memo=None):
     for word in words:
         try:
@@ -449,14 +484,65 @@ def _first_failure(bundle, words, memo=None):
 
 def _assert_caught_at_the_first_word(mutant):
     """The mutant fails, and at the same word of the sweep whether each
-    word is checked alone, through one memo, or by verify_witness."""
-    words = list(sweep_words(mutant, **SWEEP)[1])
+    word is checked alone, through one memo, by the loop over every draw
+    or by verify_witness."""
+    words = _draws(mutant, **SWEEP)
     first = _first_failure(mutant, words)
     assert first is not None
     assert _first_failure(mutant, words, {}) == first
-    with pytest.raises(PropertyViolation) as info:
-        verify_witness(mutant, **SWEEP)
-    assert info.value.counterexample == first
+    reference = _violation(_reference_verify, mutant)
+    assert reference[1] == first
+    assert _violation(verify_witness, mutant) == reference
+
+
+@pytest.mark.parametrize("name", ["free", "crt", "surface"])
+def test_verify_witness_checks_each_distinct_word_once(monkeypatch, name):
+    # the draws repeat words, and each is checked at its first occurrence
+    bundle = _bundle(name)
+    drawn = _draws(bundle, **SWEEP)
+    distinct = list(dict.fromkeys(word.letters for word in drawn))
+    assert len(distinct) < len(drawn)
+    checked = []
+    check = witness.check_witness_word
+
+    def counted(bundle, word, memo=None):
+        checked.append(word.letters)
+        return check(bundle, word, memo)
+
+    monkeypatch.setattr(witness, "check_witness_word", counted)
+    rec = verify_witness(bundle, **SWEEP)
+    assert checked == distinct
+    assert rec["words_checked"] == len({word.letters for word in drawn})
+    assert rec["samples"] == SWEEP["samples"]
+
+
+def _generators_for_inverses(kind_images):
+    """``kind_images`` with each inverse letter sent to its generator's
+    image: every positive class word passes, a random word may not."""
+
+    @functools.cache
+    def images(spec):
+        imgs = kind_images(spec)[0]
+        return imgs, imgs
+
+    return images
+
+
+@pytest.mark.parametrize("name", ["free", "crt"])
+def test_a_recurring_first_failure_is_reported_as_by_every_draw(monkeypatch, name):
+    # the mutant passes every class word and first fails on a random word
+    # that the sample draws again later: checking it once must report the
+    # same word and violation as the loop over every draw
+    bundle = _bundle(name)
+    mutant = _generators_for_inverses(witness._magnus_images)
+    monkeypatch.setattr(witness, "_magnus_images", mutant)
+    message, counterexample = _violation(_reference_verify, bundle)
+    drawn = _draws(bundle, **SWEEP)
+    renders = [word.render() for word in drawn]
+    first = renders.index(counterexample)
+    assert first >= sweep_words(bundle, **SWEEP)[0]
+    assert renders.count(counterexample) >= 2
+    assert _violation(verify_witness, bundle) == (message, counterexample)
 
 
 @pytest.mark.parametrize(
@@ -486,13 +572,13 @@ def test_a_character_word_left_out_of_the_quotient_is_refused(monkeypatch, name)
     # character refuses such a quotient, on the first word of the sweep
     bundle = _bundle(name)
     factor = bundle.components[0].factors[0]
-    assert factor.reading.reads == tuple(sorted(mono for mono, _ in factor.chi.items))
+    assert factor.chi.reading.reads == tuple(sorted(mono for mono, _ in factor.chi.items))
     _, *kept = factor.chi.items
     narrow = dataclasses.replace(factor.spec, reads=[mono for mono, _ in kept])
     word = word_from_exponents(bundle.alphabet, [1] * bundle.rank)
     images = bundle.images(word, bundle.sweep_top)
     assert bundle.verdict(images)[0]
-    monkeypatch.setattr(witness.MagnusFactor, "reading", property(lambda f: narrow))
+    monkeypatch.setattr(units.CentralCharacter, "reading", property(lambda chi: narrow))
     with pytest.raises(InvalidConfig, match="drops a word the character reads"):
         bundle.verdict(images)
     with pytest.raises(InvalidConfig, match="drops a word the character reads"):
