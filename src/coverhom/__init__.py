@@ -36,7 +36,6 @@ from .algebra import (
 )
 from .errors import (
     CoverhomError,
-    DivisionByZero,
     InvalidConfig,
     NotAUnit,
     NotInC,
@@ -46,7 +45,7 @@ from .errors import (
     TooLarge,
     UnsupportedMonomialType,
 )
-from .modular import catalan_mod, crt_coefficients, ff_inv
+from .modular import catalan_mod, crt_coefficients
 from .nonvanishing import (
     MonomialType,
     Poly,
@@ -107,7 +106,6 @@ _COVERS_NAMES = frozenset((
     "quotient_from_bundle",
     "quotient_from_json",
     "rank_over_rationals",
-    "random_quotient",
 ))
 
 

@@ -9,10 +9,6 @@ class InvalidConfig(CoverhomError, ValueError):
     """Parameters violate a precondition (bad prime, k too small, ...)."""
 
 
-class DivisionByZero(CoverhomError, ZeroDivisionError):
-    """Inversion of zero in a prime field."""
-
-
 class SpecMismatch(CoverhomError, ValueError):
     """Operands live in different algebras."""
 

@@ -8,7 +8,7 @@ width already for moderate moduli.
 
 import math
 
-from .errors import DivisionByZero, InvalidConfig
+from .errors import InvalidConfig
 
 
 def is_prime(n: int) -> bool:
@@ -25,13 +25,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def ff_inv(a: int, r: int) -> int:
-    """Inverse of a in F_r.  Raises DivisionByZero on a = 0."""
-    if a % r == 0:
-        raise DivisionByZero(f"0 has no inverse in F_{r}")
-    return pow(a, -1, r)
 
 
 def crt_coefficients(primes, k: int):

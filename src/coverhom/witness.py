@@ -188,14 +188,20 @@ def reduced_words(alphabet: Alphabet, max_len: int):
         layer = nxt
 
 
-def random_word(alphabet: Alphabet, rng, length: int) -> GroupWord:
+def _random_letters(ngens: int, rng, length: int) -> tuple:
+    """``length`` random signed letters over ``ngens`` generators, not yet
+    reduced: a generator, then a sign, per letter."""
     letters = []
     for _ in range(length):
-        letter = rng.randrange(1, alphabet.ngens + 1)
+        letter = rng.randrange(1, ngens + 1)
         if rng.randrange(2):
             letter = -letter
         letters.append(letter)
-    return GroupWord(alphabet, tuple(letters))
+    return tuple(letters)
+
+
+def random_word(alphabet: Alphabet, rng, length: int) -> GroupWord:
+    return GroupWord(alphabet, _random_letters(alphabet.ngens, rng, length))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +425,15 @@ class QuatFactor:
         return (self.weight * self.chi(central)) % self.spec.r
 
 
+def _factor_verdict(factor, g: AlgElement, e: int):
+    """(whether the factor's g^e is central, its character value or None
+    when it is not): all that a witness check reads of one factor."""
+    c = factor.power(g, e)
+    if not in_central_subgroup(c):
+        return False, None
+    return True, factor.chi_value(c)
+
+
 @dataclass(frozen=True)
 class PrimeComponent:
     """All factors of one prime, with its CRT weight q (1 when alone)."""
@@ -465,9 +480,17 @@ class WitnessBundle:
             tuple(f.image(word, top) for f in comp.factors) for comp in self.components
         )
 
-    def verdict(self, images):
+    def verdict(self, images, memo=None):
         """(whether every factor's e-th power is central, psi of the powers
         or None when one is not).
+
+        psi adds up the factors' verdicts (:func:`_factor_verdict`), each a
+        function of its factor and image alone, and stops at the first
+        factor whose power is not central.  ``memo``, a dict, maps
+        (component, factor, image) to that verdict, so an image seen
+        before is not powered again.  The key names the factor because
+        factors may share an algebra, and so an image, while their
+        characters differ: the quaternion factors of a surface bundle do.
 
         Each factor powers by its ``power``: a word-algebra factor in the
         quotient A_S of its algebra, S the degree-D words its character
@@ -475,13 +498,21 @@ class WitnessBundle:
         constant term, every degree below D and the coefficients on S,
         which is all the verdict reads, so it is exact."""
         e = self.exponent
-        powered = tuple(
-            tuple(f.power(g, e) for f, g in zip(comp.factors, imgs))
-            for comp, imgs in zip(self.components, images)
-        )
-        if not all(in_central_subgroup(c) for comp in powered for c in comp):
-            return False, None
-        return True, self.psi_of_centrals(powered)
+        memo = {} if memo is None else memo
+        values = []
+        for c, (comp, imgs) in enumerate(zip(self.components, images)):
+            comp_values = []
+            for f, (factor, g) in enumerate(zip(comp.factors, imgs)):
+                key = (c, f, g)
+                verdict = memo.get(key)
+                if verdict is None:
+                    verdict = memo[key] = _factor_verdict(factor, g, e)
+                central, value = verdict
+                if not central:
+                    return False, None
+                comp_values.append(value)
+            values.append(comp_values)
+        return True, self.psi_of_values(values)
 
     def alpha_of_images(self, images):
         """Sum of q_i-weighted per-prime abelianisations, mod d.
@@ -497,14 +528,19 @@ class WitnessBundle:
         return tuple(total)
 
     def psi_of_centrals(self, powered) -> int:
-        d = self.modulus
+        return self.psi_of_values(
+            [f.chi_value(c) for f, c in zip(comp.factors, comp_cent)]
+            for comp, comp_cent in zip(self.components, powered)
+        )
+
+    def psi_of_values(self, values) -> int:
+        """psi from the factors' character values, one sequence per
+        component: the q_i-weighted sum of each component's total mod r_i,
+        mod d."""
         total = 0
-        for comp, comp_cent in zip(self.components, powered):
-            val = 0
-            for factor, c in zip(comp.factors, comp_cent):
-                val += factor.chi_value(c)
-            total += comp.q * (val % comp.r)
-        return total % d
+        for comp, comp_values in zip(self.components, values):
+            total += comp.q * (sum(comp_values) % comp.r)
+        return total % self.modulus
 
     def expected_value(self, alpha_ints) -> int:
         """sum q_i * P_i(alpha mod r_i) mod d; nonzero whenever alpha != 0
@@ -632,9 +668,11 @@ def check_witness_word(bundle: WitnessBundle, word: GroupWord, memo=None) -> int
     e-th power reads, so the powers are exact; each word-algebra power is
     taken in the quotient that keeps just the top-degree words its
     character reads (:meth:`WitnessBundle.verdict`).  ``memo``, a dict kept
-    across the words of one sweep, maps those truncated images to their
-    (central, psi) verdict, so each distinct image is powered once; the
-    alpha, expected-value and nonzero checks still run on every word.
+    across the words of one sweep, maps each (component, factor, truncated
+    image) to that factor's verdict, so each factor powers each distinct
+    image once, and each class alpha mod d to its expected value.  The
+    images, the alpha check, the psi comparison and the nonzero test still
+    run on every word.
     """
     d = bundle.modulus
     alpha_d = tuple(v % d for v in word.exponent_vector())
@@ -646,16 +684,15 @@ def check_witness_word(bundle: WitnessBundle, word: GroupWord, memo=None) -> int
             counterexample=word.render(),
         )
     memo = {} if memo is None else memo
-    verdict = memo.get(images)
-    if verdict is None:
-        verdict = memo[images] = bundle.verdict(images)
-    central, psi = verdict
+    central, psi = bundle.verdict(images, memo)
     if not central:
         raise PropertyViolation(
             f"rho(w)^{bundle.exponent} not central for {word.render()}",
             counterexample=word.render(),
         )
-    expect = bundle.expected_value(alpha_d)
+    expect = memo.get(alpha_d)
+    if expect is None:
+        expect = memo[alpha_d] = bundle.expected_value(alpha_d)
     if psi != expect:
         raise PropertyViolation(
             f"psi = {psi} != expected {expect} for {word.render()}",
@@ -685,8 +722,12 @@ def sweep_words(
     random words, each distinct freely reduced word once, at its first
     occurrence.  Every nonzero class when ``exhaustive`` and d^rank is at
     most ``CLASS_CAP``; else min(CLASS_CAP, samples, d^rank - 1) distinct
-    nonzero classes drawn at random (at least one).  Every random word is
-    drawn, so the draws do not depend on which of them repeat."""
+    nonzero classes drawn at random (at least one).
+
+    Every random word is drawn, with the calls to the generator that
+    :func:`random_word` makes, so the draws do not depend on which of them
+    repeat; a draw is kept as its reduced letters, and only a first
+    occurrence is made a :class:`GroupWord`."""
     rng = random.Random(seed)
     d, rank = bundle.modulus, bundle.rank
     if exhaustive and d ** rank <= CLASS_CAP:
@@ -699,20 +740,23 @@ def sweep_words(
             if any(vec):
                 seen.add(vec)
         classes = sorted(seen)
+    alphabet = bundle.alphabet
 
-    def random_words():
-        for _ in range(samples):
-            yield random_word(bundle.alphabet, rng, rng.randrange(1, sample_len + 1))
-
-    def first_occurrences(words):
+    def first_occurrences():
+        # distinct classes have distinct positive words
         seen = set()
-        for word in words:
-            if word.letters not in seen:
-                seen.add(word.letters)
-                yield word
+        for vec in classes:
+            word = word_from_exponents(alphabet, vec)
+            seen.add(word.letters)
+            yield word
+        for _ in range(samples):
+            length = rng.randrange(1, sample_len + 1)
+            letters = _reduce_letters(_random_letters(alphabet.ngens, rng, length))
+            if letters not in seen:
+                seen.add(letters)
+                yield GroupWord(alphabet, letters)
 
-    words = (word_from_exponents(bundle.alphabet, vec) for vec in classes)
-    return len(classes), first_occurrences(itertools.chain(words, random_words()))
+    return len(classes), first_occurrences()
 
 
 def verify_witness(
@@ -731,11 +775,13 @@ def verify_witness(
     function of the bundle and the word alone, so a repeated draw would
     only repeat its verdict.  ``samples`` counts the random draws,
     ``words_checked`` the distinct words, class words included.  One memo
-    serves the whole sweep, so each distinct truncated image is raised to
-    the e-th power once.  When the power reads only degree 1, as for
-    e = r^k, the truncated images are fixed by the class mod d, so the
-    sweep takes at most d^rank powers per factor however many words it
-    checks.
+    serves the whole sweep, so each factor raises each distinct truncated
+    image to the e-th power once, and each class gets its expected value
+    once.  When the power reads only degree 1, as for e = r^k and for a
+    CRT exponent, a component's truncated images are fixed by the class
+    mod its prime r_i, so the sweep takes at most r_i^rank powers per
+    factor however many words it checks: 9 + 25 for the CRT lift of 3
+    and 5 in rank 2.
     """
     for comp in bundle.components:
         for f in comp.factors:

@@ -28,7 +28,6 @@ from coverhom import (
     power,
     quat_spec,
     random_element,
-    random_quotient,
     sorted_spec,
     verify_nonvanishing,
     verify_power_character,
@@ -39,6 +38,8 @@ from coverhom import (
 from coverhom.covers import FiniteQuotient, ResidueImage
 from coverhom.units import abelianization
 from coverhom.witness import Alphabet, quat_power_poly, quat_sign, quaternion_image
+
+from random_quotients import random_quotient
 
 
 def _report(name, elapsed, detail):

@@ -117,6 +117,22 @@ def test_crt_lift_command(capsys):
     assert lift["details"]["modulus"] == 15
 
 
+def test_crt_lift_sweep_details_are_pinned(capsys):
+    # the details of one seeded sweep: a change to how the sweep draws its
+    # words from the seed, or to which of them it checks, shows here
+    code, out = _run(
+        capsys,
+        "crt-lift", "--primes", "3,5", "--n", "2", "--k", "1", "--samples", "300",
+        "--seed", "1",
+    )
+    assert code == 0
+    (sweep,) = [c for c in json.loads(out)["checks"] if c["name"] == "witness-free"]
+    assert sweep["status"] == "pass"
+    assert sweep["details"] == {
+        "classes": 224, "exponent": 930, "modulus": 15, "samples": 300, "words_checked": 311,
+    }
+
+
 def test_witness_e2e_small(capsys):
     code, out = _run(
         capsys,

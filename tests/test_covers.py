@@ -33,7 +33,6 @@ from coverhom import (
     orbit_span_rank,
     quotient_from_bundle,
     quotient_from_json,
-    random_quotient,
     rank_over_rationals,
     reduced_words,
     symbol,
@@ -51,6 +50,8 @@ from coverhom.covers import (
     orbit_rows,
 )
 from coverhom.witness import _quaternion_images
+
+from random_quotients import random_quotient
 
 FREE2 = Alphabet("free", 2)
 SURF2 = Alphabet("surface", 2)

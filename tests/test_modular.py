@@ -2,29 +2,8 @@ import math
 
 import pytest
 
-from coverhom import DivisionByZero, InvalidConfig, catalan_mod, crt_coefficients, ff_inv
+from coverhom import InvalidConfig, catalan_mod, crt_coefficients
 from coverhom.modular import _lucas_binomial
-
-
-def test_ff_inv_identity():
-    assert ff_inv(1, 3) == 1
-
-
-def test_ff_inv_two_mod_three():
-    # brute force oracle: the unique b with 2*b = 1 mod 3
-    expected = next(b for b in range(1, 3) if (2 * b) % 3 == 1)
-    assert ff_inv(2, 3) == expected == 2
-
-
-def test_ff_inv_zero_raises():
-    with pytest.raises(DivisionByZero):
-        ff_inv(0, 5)
-
-
-def test_ff_inv_brute_force_small_fields():
-    for r in (3, 5, 7, 11):
-        for a in range(1, r):
-            assert a * ff_inv(a, r) % r == 1
 
 
 def test_crt_coefficients_example():

@@ -61,15 +61,18 @@ def test_trace_cli_counts_power_products(tmp_path):
     # e = 930 at D = 3 and 5 takes a handful of products through the digit
     # expansion; square-and-multiply takes 14, and a product that bypasses
     # AlgElement.__mul__ would vanish from the count.  The sweep's images
-    # stop at degree 1, where the power reads them, so they are fixed by the
-    # class mod 15 and the memo powers each of the 225 classes once in each
-    # of the two factors, however many random words the sweep checks.  The
-    # sweep checks each distinct word once, and the report counts them:
-    # some of the 30 draws repeat a word, so fewer than 224 + 30.
+    # stop at degree 1, where the power reads them, so a factor's image is
+    # fixed by the class mod its prime, and the memo, keyed by factor and
+    # image, powers each of the 9 classes mod 3 once in the first factor
+    # and each of the 25 classes mod 5 once in the second, however many
+    # words the sweep checks: 34 powers, where one per class mod 15 and
+    # factor took 450.  The sweep checks each distinct word once, and the
+    # report counts them: some of the 30 draws repeat a word, so fewer
+    # than 224 + 30.
     metrics, report = _traced_run(
         tmp_path, "crt-lift", "--primes", "3,5", "--n", "2", "--k", "1", "--samples", "30"
     )
-    assert metrics["algebra.power.calls"] == 450
+    assert metrics["algebra.power.calls"] == 9 + 25
     assert 0 < metrics["algebra.power.mul_per_call"] < 5
     (sweep,) = [c["details"] for c in report["checks"] if c["name"] == "witness-free"]
     assert 224 < sweep["words_checked"] < 224 + 30

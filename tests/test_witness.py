@@ -1,11 +1,13 @@
+import collections
 import dataclasses
 import functools
+import itertools
 import random
-from unittest import mock
 
 import pytest
 
 from coverhom import (
+    AlgElement,
     Alphabet,
     GroupWord,
     InvalidConfig,
@@ -435,28 +437,78 @@ def test_check_witness_word_with_and_without_a_memo(name):
         psi = check_witness_word(bundle, word)
         assert check_witness_word(bundle, word, memo) == psi
         assert psi == bundle.expected_value(word.exponent_vector())
-    # at most one verdict per class mod d, however many random words
-    assert len(memo) <= bundle.modulus ** bundle.rank
+    # a factor's truncated image is fixed by the class mod its prime, so
+    # each factor holds at most one verdict per class mod r_c, and each
+    # class mod d one expected value, however many random words
+    verdicts = collections.Counter(key[:2] for key in memo if isinstance(key[-1], AlgElement))
+    assert sum(len(comp.factors) for comp in bundle.components) == len(verdicts)
+    for (c, _), count in verdicts.items():
+        assert count <= bundle.components[c].r ** bundle.rank
+    expected = [key for key in memo if not isinstance(key[-1], AlgElement)]
+    assert len(expected) <= bundle.modulus ** bundle.rank
 
 
-def _draws(bundle, **sweep):
-    """Every word the sweep draws, repeats included, in order: the words
-    :func:`sweep_words` builds, recorded as they are built."""
-    drawn = []
+@pytest.mark.parametrize("name", ["free", "crt", "surface"])
+def test_a_non_central_verdict_is_kept_in_the_memo(monkeypatch, name):
+    # a mutant whose word-algebra "power" is the image itself: a word
+    # outside the kernel has no central power, and a memo that has seen
+    # its factor images before must say so again
+    bundle = _bundle(name)
+    monkeypatch.setattr(witness.MagnusFactor, "power", lambda self, g, e: g)
+    memo = {}
+    _, words = sweep_words(bundle, **SWEEP)
+    nonzero = [w for w in words if any(v % bundle.modulus for v in w.exponent_vector())]
+    for word in nonzero + nonzero:
+        with pytest.raises(PropertyViolation, match="not central"):
+            check_witness_word(bundle, word, memo)
 
-    def record(build):
-        def built(*args):
-            drawn.append(build(*args))
-            return drawn[-1]
 
-        return built
-
-    with mock.patch.object(
-        witness, "word_from_exponents", record(witness.word_from_exponents)
-    ), mock.patch.object(witness, "random_word", record(witness.random_word)):
-        for _ in sweep_words(bundle, **sweep)[1]:
-            pass
+def _draws(bundle, exhaustive=True, samples=0, seed=0, sample_len=6):
+    """Every word the sweep draws, repeats included, in order: the
+    positive word of each class, then ``samples`` words from
+    :func:`random_word`, all from one ``random.Random(seed)``.  The loop
+    over every draw that the sweep replaced, kept as the oracle of the
+    draws' order and of the generator calls."""
+    rng = random.Random(seed)
+    d, rank = bundle.modulus, bundle.rank
+    if exhaustive and d ** rank <= witness.CLASS_CAP:
+        classes = [vec for vec in itertools.product(range(d), repeat=rank) if any(vec)]
+    else:
+        seen = set()
+        want = min(witness.CLASS_CAP, max(samples, 1), d ** rank - 1)
+        while len(seen) < want:
+            vec = tuple(rng.randrange(d) for _ in range(rank))
+            if any(vec):
+                seen.add(vec)
+        classes = sorted(seen)
+    drawn = [word_from_exponents(bundle.alphabet, vec) for vec in classes]
+    for _ in range(samples):
+        drawn.append(random_word(bundle.alphabet, rng, rng.randrange(1, sample_len + 1)))
     return drawn
+
+
+@pytest.mark.parametrize("name", ["free", "crt", "surface"])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        SWEEP,
+        {"exhaustive": True, "samples": 300, "seed": 1},
+        {"exhaustive": True, "samples": 200, "seed": 17, "sample_len": 3},
+        {"exhaustive": False, "samples": 40, "seed": 5},
+        {"exhaustive": False, "samples": 150, "seed": 23, "sample_len": 4},
+    ],
+    ids=["seed3", "seed1", "seed17-short", "sampled-seed5", "sampled-seed23"],
+)
+def test_sweep_words_yields_the_first_occurrence_of_each_draw(name, sweep):
+    bundle = _bundle(name)
+    drawn = _draws(bundle, **sweep)
+    classes, words = sweep_words(bundle, **sweep)
+    assert classes == len(drawn) - sweep["samples"]
+    first = {}
+    for word in drawn:
+        first.setdefault(word.letters, word)
+    assert list(words) == list(first.values())
+    assert len(first) < len(drawn)
 
 
 def _reference_verify(bundle, **sweep):
