@@ -23,7 +23,6 @@ pair.  Elements are immutable once built and every operation is pure, so
 values can be shared freely.
 """
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass, field, replace
@@ -41,13 +40,6 @@ QUAT_UNIT_NAMES = ("1", "i", "j", "k")
 # Bound on the work of one inverse: term pairs multiplied, each weighted by
 # its degree + 1 (about the letters the inverse stores).
 INVERSE_GUARD = 10 ** 7
-
-# A word product goes by blocks when its term pairs reach this many per
-# pair of (degree, letter) buckets of its factors, and one term pair at a
-# time otherwise (see _mul_terms).  Blocks cost a fixed setup per product
-# and per bucket pair: they measured slower than the loop below 16 pairs
-# a bucket pair, about even from 16 to 64, and faster from 64 on.
-BLOCK_PAIRS = 64
 
 # Hamilton table i^2 = j^2 = k^2 = -1, ij = k, jk = i, ki = j.
 # Flat-indexed by 4*l1 + l2 -> (sign, unit).  The table is validated
@@ -229,12 +221,6 @@ def count_basis_monomials(spec: AlgebraSpec) -> int:
     return 1 + sum(n * (n - 1) ** (length - 1) for length in range(1, cap + 1))
 
 
-@functools.lru_cache(maxsize=8)
-def _times_table(r):
-    """times[a][b] = a * b mod r, for a, b in [0, r)."""
-    return tuple(tuple(a * b % r for b in range(r)) for a in range(r))
-
-
 def _mul_word_loop(spec, top, aterms, bterms):
     """Sparse word-algebra product, one term pair at a time.  Both inputs
     hold admissible monomials, so a product monomial can only fail at the
@@ -285,57 +271,6 @@ def _mul_word_loop(spec, top, aterms, bterms):
     return reduced
 
 
-def _word_buckets(spec, terms, last):
-    """Word terms grouped by degree and their last (``last``) or first
-    letter, as a bytes slice: {(degree, slice): (monomials,
-    coefficients)}.  The slice is empty for the empty word and for every
-    word of the free kind, whose junctions are all admissible."""
-    split = spec.kind != "free"
-    out = {}
-    for mono, c in terms.items():
-        key = (len(mono), (mono[-1:] if last else mono[:1]) if split else b"")
-        group = out.get(key)
-        if group is None:
-            out[key] = ([mono], [c])
-        else:
-            group[0].append(mono)
-            group[1].append(c)
-    return out
-
-
-def _mul_word_blocks(spec, top, left, right):
-    """Word-algebra product of the left factor bucketed by (degree, last
-    letter) and the right factor by (degree, first letter).
-
-    Within one left degree d every product monomial splits one way only,
-    as its first d letters times the rest, and no product of coefficients
-    in [1, r) vanishes mod the prime r.  So each admissible bucket pair is
-    written whole into that degree's part, and only the parts of different
-    left degrees are added, mod r, dropping zeros."""
-    r, adjacent_ok = spec.r, spec.adjacent_ok
-    times = _times_table(r)
-    parts = {}
-    for (la, last), (amonos, acoeffs) in left.items():
-        part = parts.setdefault(la, {})
-        for (lb, first), (bmonos, bcoeffs) in right.items():
-            if la + lb > top or (last and first and not adjacent_ok(last[0], first[0])):
-                continue
-            part.update(zip(
-                [x + y for x in amonos for y in bmonos],
-                [row[cb] for ca in acoeffs for row in (times[ca],) for cb in bcoeffs],
-            ))
-    out, *rest = sorted(parts.values(), key=len, reverse=True)
-    for part in rest:
-        get = out.get
-        for mono, c in part.items():
-            s = (get(mono, 0) + c) % r
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-    return out
-
-
 def _mul_quat_terms(r, top, aterms, bterms):
     bydeg = {}
     for mb, cb in bterms.items():
@@ -365,14 +300,6 @@ def _mul_quat_terms(r, top, aterms, bterms):
     return reduced
 
 
-def _bucket_count(spec, terms, last):
-    """The number of buckets :func:`_word_buckets` makes of ``terms``,
-    counted without building them."""
-    if spec.kind == "free":
-        return len(set(map(len, terms)))
-    return len({(len(mono), mono[-1:] if last else mono[:1]) for mono in terms})
-
-
 def _drop_unread(spec, terms):
     """``terms`` without the degree-D words outside ``spec.reads``."""
     cap, reads = spec.cap, spec.read_set
@@ -384,22 +311,15 @@ def _mul_terms(spec, aterms, bterms, top=None):
     kernel, keeping the degrees <= ``top`` (default the truncation degree
     D).  The result's coefficients are reduced mod r, zeros dropped.
 
-    Word products with at least ``BLOCK_PAIRS`` term pairs per pair of
-    buckets go by :func:`_mul_word_blocks`; the buckets are counted first
-    and built only for that path.  Every other product, the quaternion
-    ones included, goes one term pair at a time.  Products to degree D
-    in a quotient A_S go by :func:`_mul_read_terms`."""
+    Every product goes one term pair at a time: word products by
+    :func:`_mul_word_loop`, quaternion ones by :func:`_mul_quat_terms`,
+    except that products to degree D in a quotient A_S go by
+    :func:`_mul_read_terms`."""
     top = spec.cap if top is None else top
     if spec.kind == "quat":
         return _mul_quat_terms(spec.r, top, aterms, bterms)
     if spec.reads is not None and top == spec.cap:
         return _mul_read_terms(spec, aterms, bterms)
-    pairs = len(aterms) * len(bterms)
-    if pairs >= BLOCK_PAIRS:
-        buckets = _bucket_count(spec, aterms, True) * _bucket_count(spec, bterms, False)
-        if pairs >= BLOCK_PAIRS * buckets:
-            left, right = _word_buckets(spec, aterms, True), _word_buckets(spec, bterms, False)
-            return _mul_word_blocks(spec, top, left, right)
     return _mul_word_loop(spec, top, aterms, bterms)
 
 

@@ -79,6 +79,11 @@ from .witness import (
 # an entry and 128 a column); past it the cover is refused with TooLarge.
 ROW_BYTES_GUARD = 1 << 26
 
+# (word, basepoint) pairs of one orbit span: every freely reduced word of
+# length <= the span's bound, the empty word included, at every basepoint.
+# Past it the span is refused with TooLarge before any word is walked.
+ORBIT_PAIRS_GUARD = 1 << 22
+
 # ---------------------------------------------------------------------------
 # generator images
 
@@ -864,6 +869,16 @@ def nonkernel_predicate(theta: FiniteQuotient, guard_vertices: int = 10 ** 5):
     return lambda word: cover._walk(word, 0, {}) != 0
 
 
+def count_reduced_words(alphabet: Alphabet, max_len: int) -> int:
+    """The number of freely reduced words of length <= max_len, the empty
+    word included: 1 + m((m - 1)^L - 1)/(m - 2) over m >= 3 signed
+    letters, and 1 + 2L over m = 2."""
+    m = 2 * alphabet.ngens
+    if m == 2:
+        return 1 + 2 * max_len
+    return 1 + m * ((m - 1) ** max_len - 1) // (m - 2)
+
+
 def _stack_walks(walks):
     """Integer edge vectors (sparse dicts) as two (len(walks), width)
     arrays of edge ids and coefficients, one walk per row, padded with
@@ -897,10 +912,20 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
     vertices where the rounds of the walk at 0 start, and it is the loop
     at each of them.  So w is translated to b only when no basepoint
     listed before b lies in that coset b<theta(w)>; the rows left are
-    deduplicated on their bytes, for the other coincidences."""
+    deduplicated on their bytes, for the other coincidences.
+
+    The (word, basepoint) pairs are counted first, in closed form; past
+    ``ORBIT_PAIRS_GUARD`` the span stops with TooLarge before any word is
+    walked."""
     if basepoints is None:
         basepoints = range(cover.n_vertices)
     basepoints = np.fromiter(basepoints, dtype=np.int64)
+    pairs = count_reduced_words(cover.alphabet, max_len) * basepoints.size
+    if pairs > ORBIT_PAIRS_GUARD:
+        raise TooLarge(
+            f"orbit span of the words of length <= {max_len} at {basepoints.size} "
+            f"basepoints: {pairs} (word, basepoint) pairs pass the guard {ORBIT_PAIRS_GUARD}"
+        )
     walks, starts, walked = [], [], set()
     for word in reduced_words(cover.alphabet, max_len):
         if word.inverse().letters not in walked and predicate(word):

@@ -542,14 +542,20 @@ class WitnessBundle:
             total += comp.q * (sum(comp_values) % comp.r)
         return total % self.modulus
 
-    def expected_value(self, alpha_ints) -> int:
+    def expected_value(self, alpha_ints, memo=None) -> int:
         """sum q_i * P_i(alpha mod r_i) mod d; nonzero whenever alpha != 0
-        mod d because each P_i has no zero off the origin of F_{r_i}."""
-        d = self.modulus
+        mod d because each P_i has no zero off the origin of F_{r_i}.
+        ``memo``, a dict, maps (component, alpha mod r_i) to P_i's value
+        there, so each P_i is evaluated once per class mod r_i."""
+        memo = {} if memo is None else memo
         total = 0
-        for comp in self.components:
-            total += comp.q * comp.poly.evaluate([a % comp.r for a in alpha_ints])
-        return total % d
+        for c, comp in enumerate(self.components):
+            key = (c, tuple(a % comp.r for a in alpha_ints))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = comp.poly.evaluate(key[1])
+            total += comp.q * value
+        return total % self.modulus
 
 
 def assemble_witness_free(r: int, n: int, k: int | None = None, variant: str = "full") -> WitnessBundle:
@@ -670,9 +676,10 @@ def check_witness_word(bundle: WitnessBundle, word: GroupWord, memo=None) -> int
     character reads (:meth:`WitnessBundle.verdict`).  ``memo``, a dict kept
     across the words of one sweep, maps each (component, factor, truncated
     image) to that factor's verdict, so each factor powers each distinct
-    image once, and each class alpha mod d to its expected value.  The
-    images, the alpha check, the psi comparison and the nonzero test still
-    run on every word.
+    image once, and each (component, alpha mod r_i) to P_i(alpha), so
+    each P_i is evaluated once per class mod r_i.  The images, the alpha
+    check, the psi comparison and the nonzero test still run on every
+    word.
     """
     d = bundle.modulus
     alpha_d = tuple(v % d for v in word.exponent_vector())
@@ -690,9 +697,7 @@ def check_witness_word(bundle: WitnessBundle, word: GroupWord, memo=None) -> int
             f"rho(w)^{bundle.exponent} not central for {word.render()}",
             counterexample=word.render(),
         )
-    expect = memo.get(alpha_d)
-    if expect is None:
-        expect = memo[alpha_d] = bundle.expected_value(alpha_d)
+    expect = bundle.expected_value(alpha_d, memo)
     if psi != expect:
         raise PropertyViolation(
             f"psi = {psi} != expected {expect} for {word.render()}",

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coverhom import assemble_witness_free, covers
+from coverhom import Alphabet, assemble_witness_free, covers, reduced_words
 from coverhom.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,6 +309,34 @@ S5 = {
     "type": "perm",
     "images": [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4], [1, 0, 2, 3, 4], [1, 2, 3, 4, 0]],
 }
+
+
+def test_orbit_span_past_the_pair_guard_walks_no_word(tmp_path, monkeypatch, capsys):
+    # the S_5 cover's words of length <= 3 over 8 letters, 457 with the
+    # empty word, at its 120 basepoints are 54,840 (word, basepoint) pairs
+    (tmp_path / "s5.json").write_text(json.dumps(S5))
+    monkeypatch.setattr(covers, "ORBIT_PAIRS_GUARD", 54_839)
+    monkeypatch.setattr(covers, "elevation_class", lambda *args: pytest.fail("word walked"))
+    assert main([
+        "cover-report", "--quotient", str(tmp_path / "s5.json"), "--orbit", "d-primitive",
+        "--d", "3", "--max-word-len", "3",
+    ]) == 2
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("gaschutz", "pass"), ("orbit-span", "guard")
+    ]
+    assert "54840 (word, basepoint) pairs" in checks[-1]["details"]["error"]
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and "guard 54839" in lines[0]
+
+
+@pytest.mark.parametrize("kind, rank", [("free", 1), ("free", 2), ("surface", 2)])
+def test_reduced_words_are_counted_in_closed_form(kind, rank):
+    alphabet = Alphabet(kind, rank)
+    for max_len in range(5):
+        listed = sum(1 for _ in reduced_words(alphabet, max_len))
+        assert covers.count_reduced_words(alphabet, max_len) == 1 + listed
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """The product kernel against a reference: the term-pair loop that adds
-every product into one map and reduces it mod r afterwards.  Word products
-with many term pairs per bucket pair go by blocks instead, so the cases
-here sit on both sides of ``BLOCK_PAIRS``."""
+every product into one map and reduces it mod r afterwards, testing each
+junction by ``spec.adjacent_ok``.  Every word product outside the top
+degree of a quotient A_S goes by ``algebra._mul_word_loop``, so the cases
+here range from single terms to dense powers whose coefficients cancel
+mod r."""
 
 import random
 from dataclasses import replace
@@ -9,8 +11,7 @@ from dataclasses import replace
 import pytest
 
 from coverhom import AlgebraSpec, free_spec, m_spec, random_element, sorted_spec, zero
-from coverhom import algebra
-from coverhom.algebra import _QMUL, BLOCK_PAIRS, _mul_terms, power, project, symbol
+from coverhom.algebra import _QMUL, _mul_terms, power, project, symbol
 
 from basis_monomials import iter_basis_monomials
 
@@ -38,20 +39,6 @@ def _reference_mul(spec, aterms, bterms, top=None):
                 key, c = ma + mb, ca * cb
             out[key] = out.get(key, 0) + c
     return {mono: c % spec.r for mono, c in out.items() if c % spec.r}
-
-
-@pytest.fixture
-def block_calls(monkeypatch):
-    """The number of products that went by blocks, as a one-item list."""
-    calls = [0]
-    blocks = algebra._mul_word_blocks
-
-    def counting(*args):
-        calls[0] += 1
-        return blocks(*args)
-
-    monkeypatch.setattr(algebra, "_mul_word_blocks", counting)
-    return calls
 
 
 KERNEL_SPECS = [
@@ -84,57 +71,46 @@ def _full_linear(spec, rng):
     return y
 
 
-def _bucket_pairs(spec, a, b):
-    left = algebra._word_buckets(spec, a.terms, True)
-    right = algebra._word_buckets(spec, b.terms, False)
-    return len(left) * len(right)
-
-
-# (spec, i, j, by blocks) for y^i * y^j: the sorted y^3 * y^6 in three
-# letters has 280 pairs over 9 bucket pairs, under BLOCK_PAIRS, and in
-# four letters y^4 * y^5 has 1,960 over 16
+# (spec, i, j) for y^i * y^j: the m-kind y^3 * y^3 in four letters has
+# 36 x 36 terms, the size of the surface sweep's products below degree D,
+# y^3 * y^6 has 36 x 972, and the sorted y^4 * y^5 in four letters 35 x 56
 DENSE = [
-    (m_spec(3, 2, 2), 3, 6, True),
-    (m_spec(3, 2, 2), 6, 3, True),
-    (m_spec(3, 2, 2), 1, 1, False),
-    (m_spec(3, 2, 2), 2, 2, False),
-    (free_spec(3, 2, 2), 3, 6, True),
-    (free_spec(3, 2, 2), 2, 2, False),
-    (sorted_spec(3, 2, 3), 3, 6, False),
-    (sorted_spec(3, 2, 4), 4, 5, True),
-    (sorted_spec(3, 2, 4), 5, 4, True),
+    (m_spec(3, 2, 2), 3, 3),
+    (m_spec(3, 2, 2), 3, 6),
+    (m_spec(3, 2, 2), 6, 3),
+    (m_spec(3, 2, 2), 1, 1),
+    (m_spec(3, 2, 2), 2, 2),
+    (free_spec(3, 2, 2), 3, 6),
+    (free_spec(3, 2, 2), 2, 2),
+    (sorted_spec(3, 2, 3), 3, 6),
+    (sorted_spec(3, 2, 4), 4, 5),
+    (sorted_spec(3, 2, 4), 5, 4),
 ]
 
 
-@pytest.mark.parametrize("spec, i, j, by_blocks", DENSE,
-                         ids=[f"{s.kind}-y{i}-y{j}" for s, i, j, _ in DENSE])
-def test_kernel_matches_reference_on_dense_powers(spec, i, j, by_blocks, block_calls):
+@pytest.mark.parametrize("spec, i, j", DENSE, ids=[f"{s.kind}-y{i}-y{j}" for s, i, j in DENSE])
+def test_kernel_matches_reference_on_dense_powers(spec, i, j):
     rng = random.Random(i * 10 + j)
     y = _full_linear(spec, rng)
     a, b = power(y, i), power(y, j)
-    pairs = len(a.terms) * len(b.terms)
-    assert (pairs >= BLOCK_PAIRS * _bucket_pairs(spec, a, b)) == by_blocks
-    block_calls[0] = 0
     for top in (None, i + j - 1, i + j):
         got = _mul_terms(spec, a.terms, b.terms, top)
         assert got == _reference_mul(spec, a.terms, b.terms, top)
-    assert block_calls[0] == (3 if by_blocks else 0)
 
 
 CANCEL = [(free_spec(3, 2, 3), 2), (sorted_spec(3, 2, 4), 4), (m_spec(3, 2, 2), 3)]
 
 
 @pytest.mark.parametrize("spec, d", CANCEL, ids=["free", "sorted", "m"])
-def test_kernel_cancels_across_left_degrees(spec, d, block_calls):
+def test_kernel_cancels_across_left_degrees(spec, d):
     # a = (all words of degrees d and d + 1), b = (all of degree d + 1)
     # + 2 (all of degree d): a word w of degree 2d + 1 is hit as
     # w[:d] * w[d:] with coefficient 1 and as w[:d+1] * w[d+1:] with 2, so
-    # it cancels mod 3
+    # it cancels mod 3, in the loop's final reduction
     words = [m for m in iter_basis_monomials(spec) if d <= len(m) <= d + 1]
     a = {m: 1 for m in words}
     b = {m: 2 if len(m) == d else 1 for m in words}
     got = _mul_terms(spec, a, b)
-    assert block_calls[0] == 1
     assert got == _reference_mul(spec, a, b)
     assert sorted({len(m) for m in got}) == [n for n in (2 * d, 2 * d + 2) if n <= spec.cap]
 

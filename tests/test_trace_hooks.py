@@ -68,11 +68,14 @@ def test_trace_cli_counts_power_products(tmp_path):
     # words the sweep checks: 34 powers, where one per class mod 15 and
     # factor took 450.  The sweep checks each distinct word once, and the
     # report counts them: some of the 30 draws repeat a word, so fewer
-    # than 224 + 30.
+    # than 224 + 30.  The expected value sum q_i P_i(alpha mod r_i) is
+    # memoised per component and class mod r_i: 9 + 25 evaluations, where
+    # one per class mod 15 and component took 450.
     metrics, report = _traced_run(
         tmp_path, "crt-lift", "--primes", "3,5", "--n", "2", "--k", "1", "--samples", "30"
     )
     assert metrics["algebra.power.calls"] == 9 + 25
+    assert metrics["nonvanishing.evaluate.calls"] == 9 + 25
     assert 0 < metrics["algebra.power.mul_per_call"] < 5
     (sweep,) = [c["details"] for c in report["checks"] if c["name"] == "witness-free"]
     assert 224 < sweep["words_checked"] < 224 + 30

@@ -439,13 +439,16 @@ def test_check_witness_word_with_and_without_a_memo(name):
         assert psi == bundle.expected_value(word.exponent_vector())
     # a factor's truncated image is fixed by the class mod its prime, so
     # each factor holds at most one verdict per class mod r_c, and each
-    # class mod d one expected value, however many random words
+    # component one value of P_c per class mod r_c, however many random
+    # words
     verdicts = collections.Counter(key[:2] for key in memo if isinstance(key[-1], AlgElement))
     assert sum(len(comp.factors) for comp in bundle.components) == len(verdicts)
     for (c, _), count in verdicts.items():
         assert count <= bundle.components[c].r ** bundle.rank
-    expected = [key for key in memo if not isinstance(key[-1], AlgElement)]
-    assert len(expected) <= bundle.modulus ** bundle.rank
+    values = collections.Counter(key[0] for key in memo if not isinstance(key[-1], AlgElement))
+    assert sorted(values) == list(range(len(bundle.components)))
+    for c, count in values.items():
+        assert count <= bundle.components[c].r ** bundle.rank
 
 
 @pytest.mark.parametrize("name", ["free", "crt", "surface"])
