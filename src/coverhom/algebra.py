@@ -33,7 +33,6 @@ from .errors import InvalidConfig, NotAUnit, SpecMismatch, TooLarge
 from .modular import is_prime
 
 KINDS = ("free", "sorted", "m", "quat")
-WORD_KINDS = ("free", "sorted", "m")
 
 QUAT_UNIT_NAMES = ("1", "i", "j", "k")
 

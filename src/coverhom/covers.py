@@ -83,6 +83,9 @@ ROW_BYTES_GUARD = 1 << 26
 # length <= the span's bound, the empty word included, at every basepoint.
 # Past it the span is refused with TooLarge before any word is walked.
 ORBIT_PAIRS_GUARD = 1 << 22
+# The words alone of one orbit span, however few its basepoints; each
+# word is walked on the cover.  Past it the span is refused likewise.
+ORBIT_WORDS_GUARD = 1 << 17
 
 # ---------------------------------------------------------------------------
 # generator images
@@ -609,35 +612,10 @@ _RANK_PRIMES = (
     2147483489, 2147483477, 2147483423, 2147483399,
     2147483353, 2147483323, 2147483269, 2147483249,
 )
-# entries per numpy update or scan slice of _rank_mod_p, per batch of
-# orbit_rows and the deck-map check, and per generator in a chunk of the
-# cover build, so temporaries stay small whatever the matrix shape
+# entries per numpy update of _rank_mod_p, per batch of orbit_rows and
+# the deck-map check, and per generator in a chunk of the cover build, so
+# temporaries stay small whatever the matrix shape
 _BATCH_ENTRIES = 1 << 14
-# width of the first window _leads scans; each further window is 4x wider
-_LEAD_WINDOW = 256
-
-
-def _leads(mat, rows, start):
-    """First nonzero column at or after ``start`` of each of the given
-    rows of mat, or the column count where a row has none.  The rows are
-    scanned in windows growing fourfold, since a lead after an update is
-    usually near the old one."""
-    n = mat.shape[1]
-    lead = np.full(rows.size, n, dtype=np.int64)
-    todo = np.arange(rows.size)
-    lo, width = start, _LEAD_WINDOW
-    while todo.size and lo < n:
-        w = min(width, n - lo, _BATCH_ENTRIES)
-        step = max(1, _BATCH_ENTRIES // w)
-        for s in range(0, todo.size, step):
-            idx = todo[s : s + step]
-            window = mat[rows[idx], lo : lo + w] != 0
-            found = window.any(axis=1)
-            lead[idx[found]] = lo + window[found].argmax(axis=1)
-        todo = todo[lead[todo] == n]
-        lo += w
-        width *= 4
-    return lead
 
 
 def _entries(rows):
@@ -705,39 +683,32 @@ def _rank_mod_p(entries, shape, p):
     the given shape, by elimination on the dense matrix of
     ``_dense_mod_p``, along its short side.
 
-    Each step visits one pivot column only: the least lead (first nonzero
-    column) among the live rows.  The rows leading there are the pivot and
-    the rows it clears; they are updated on the pivot's support alone,
-    since the pivot row is zero elsewhere, and then their new leads are
-    found by a scan from the next column.  Rows whose lead runs off the
-    end are zero and drop out."""
-    if not entries[0].size:
-        return 0
+    The columns are swept in order.  At each, the first row nonzero there
+    is the pivot, and it clears the other rows nonzero there; the pivot row
+    is then zeroed, so that it drops out of every later column.  Every row
+    is thus zero in the columns already swept, the pivot row among them,
+    so the cleared rows are updated on the pivot row's support alone."""
     mat = _dense_mod_p(entries, shape, p)
-    n = mat.shape[1]
-    lead = _leads(mat, np.arange(mat.shape[0]), 0)
     r = 0
-    while True:
-        col = int(lead.min(initial=n))
-        if col == n:
-            return r
-        leaders = np.flatnonzero(lead == col)
-        lead[leaders[0]] = n  # the pivot row is used up
-        r += 1
-        hit = leaders[1:]
-        if not hit.size:
+    for col in range(mat.shape[1]):
+        # the strided column's own nonzero(): np.flatnonzero copies it first
+        (rows,) = mat[:, col].nonzero()
+        if not rows.size:
             continue
-        row = mat[leaders[0]]
-        supp = col + np.flatnonzero(row[col:])
-        pivot = row[supp].astype(np.int64) * pow(int(row[col]), -1, p) % p
-        step = max(1, _BATCH_ENTRIES // supp.size)
-        for s in range(0, hit.size, step):
-            idx = (hit[s : s + step, None], supp)
-            block = mat[idx].astype(np.int64)
-            block -= block[:, :1] * pivot
-            block %= p
-            mat[idx] = block
-        lead[hit] = _leads(mat, hit, col + 1)
+        r += 1
+        row, hit = mat[rows[0]], rows[1:]
+        if hit.size:
+            supp = col + np.flatnonzero(row[col:])
+            pivot = row[supp].astype(np.int64) * pow(int(row[col]), -1, p) % p
+            step = max(1, _BATCH_ENTRIES // supp.size)
+            for s in range(0, hit.size, step):
+                idx = (hit[s : s + step, None], supp)
+                block = mat[idx].astype(np.int64)
+                block -= block[:, :1] * pivot
+                block %= p
+                mat[idx] = block
+        row[col:] = 0
+    return r
 
 
 def _rank_exact(rows, ncols):
@@ -914,17 +885,20 @@ def orbit_rows(cover: CoverComplex, predicate, max_len: int, basepoints=None):
     listed before b lies in that coset b<theta(w)>; the rows left are
     deduplicated on their bytes, for the other coincidences.
 
-    The (word, basepoint) pairs are counted first, in closed form; past
-    ``ORBIT_PAIRS_GUARD`` the span stops with TooLarge before any word is
-    walked."""
+    The words and the (word, basepoint) pairs are counted first, in
+    closed form; past ``ORBIT_WORDS_GUARD`` or ``ORBIT_PAIRS_GUARD`` the
+    span stops with TooLarge before any word is walked."""
     if basepoints is None:
         basepoints = range(cover.n_vertices)
     basepoints = np.fromiter(basepoints, dtype=np.int64)
-    pairs = count_reduced_words(cover.alphabet, max_len) * basepoints.size
+    words = count_reduced_words(cover.alphabet, max_len)
+    pairs = words * basepoints.size
+    span = f"orbit span of the words of length <= {max_len} at {basepoints.size} basepoints"
+    if words > ORBIT_WORDS_GUARD:
+        raise TooLarge(f"{span}: {words} words pass the guard {ORBIT_WORDS_GUARD}")
     if pairs > ORBIT_PAIRS_GUARD:
         raise TooLarge(
-            f"orbit span of the words of length <= {max_len} at {basepoints.size} "
-            f"basepoints: {pairs} (word, basepoint) pairs pass the guard {ORBIT_PAIRS_GUARD}"
+            f"{span}: {pairs} (word, basepoint) pairs pass the guard {ORBIT_PAIRS_GUARD}"
         )
     walks, starts, walked = [], [], set()
     for word in reduced_words(cover.alphabet, max_len):

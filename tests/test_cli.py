@@ -331,6 +331,34 @@ def test_orbit_span_past_the_pair_guard_walks_no_word(tmp_path, monkeypatch, cap
     assert len(lines) == 1 and "guard 54839" in lines[0]
 
 
+@pytest.mark.parametrize("max_len, guard", [(4, 52), (11, None)])
+def test_orbit_span_past_the_word_guard_walks_no_word(tmp_path, monkeypatch, capsys, max_len, guard):
+    # one vertex, so the pairs are the words: 53 of length <= 4 over 4
+    # letters, and 354,293 of length <= 11, which the pair guard alone
+    # admits
+    (tmp_path / "one.json").write_text(json.dumps(
+        {"domain": "free", "rank": 2, "type": "perm", "images": [[0], [0]]}
+    ))
+    if guard is not None:
+        monkeypatch.setattr(covers, "ORBIT_WORDS_GUARD", guard)
+    guard = covers.ORBIT_WORDS_GUARD
+    words = covers.count_reduced_words(Alphabet("free", 2), max_len)
+    assert guard < words <= covers.ORBIT_PAIRS_GUARD
+    monkeypatch.setattr(covers, "elevation_class", lambda *args: pytest.fail("word walked"))
+    assert main([
+        "cover-report", "--quotient", str(tmp_path / "one.json"), "--orbit", "all",
+        "--max-word-len", str(max_len),
+    ]) == 2
+    captured = capsys.readouterr()
+    checks = json.loads(captured.out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("gaschutz", "pass"), ("orbit-span", "guard")
+    ]
+    assert f"{words} words pass the guard {guard}" in checks[-1]["details"]["error"]
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and f"guard {guard}" in lines[0]
+
+
 @pytest.mark.parametrize("kind, rank", [("free", 1), ("free", 2), ("surface", 2)])
 def test_reduced_words_are_counted_in_closed_form(kind, rank):
     alphabet = Alphabet(kind, rank)

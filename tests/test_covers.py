@@ -643,10 +643,10 @@ def _reference_rank_mod_p(rows, ncols, p):
     return r
 
 
-def _far_lead_rows(rng, nrows, ncols, rank):
+def _far_column_rows(rng, nrows, ncols, rank):
     """Sparse rows of rank <= ``rank`` on a few columns spread over more
-    than 1,024: clearing a lead leaves the next nonzero of a row past the
-    first two scan windows, some rows are zero and most columns are."""
+    than 1,024: most columns of the sweep are zero, some rows are zero,
+    and a cleared row's next nonzero is often far past the pivot."""
     spots = sorted(rng.sample(range(ncols), 12) + [0, 1])
     basis = [
         {j: rng.randrange(-2, 3) for j in rng.sample(spots, rng.randrange(1, 5))}
@@ -669,15 +669,6 @@ def test_rank_mod_p_matches_the_column_kernel(monkeypatch, budget):
     # must still agree
     if budget is not None:
         monkeypatch.setattr(covers, "_BATCH_ENTRIES", budget)
-    leads = covers._leads
-    jumps = [0]
-
-    def recording(mat, rows, start):
-        out = leads(mat, rows, start)
-        jumps.extend((out[out < mat.shape[1]] - start).tolist())
-        return out
-
-    monkeypatch.setattr(covers, "_leads", recording)
     rng = random.Random(4127)
     primes = _RANK_PRIMES[:2] + (3, 5, 7)
     for trial in range(40):
@@ -686,23 +677,43 @@ def test_rank_mod_p_matches_the_column_kernel(monkeypatch, budget):
             rows = _rows_of_rank(rng, nrows, ncols, rng.randrange(0, min(nrows, ncols) + 1))
         else:
             nrows, ncols = rng.randrange(2, 30), rng.randrange(1300, 3000)
-            rows = _far_lead_rows(rng, nrows, ncols, rng.randrange(1, 8))
+            rows = _far_column_rows(rng, nrows, ncols, rng.randrange(1, 8))
         cols = _transpose(rows, ncols)
         for p in primes:
             expect = _reference_rank_mod_p(rows, ncols, p)
             assert _rows_rank_mod_p(rows, ncols, p) == expect
             assert _rows_rank_mod_p(cols, nrows, p) == expect
-    # some lead was found beyond the first two scan windows
-    assert max(jumps) > covers._LEAD_WINDOW * 5
     # zero rows and no columns at all: an empty matrix either way round
     assert _rows_rank_mod_p([{}, {}], 0, 3) == _reference_rank_mod_p([{}, {}], 0, 3) == 0
 
 
 def test_rank_mod_p_rescans_past_the_last_column():
-    # clearing row 1 by row 0 at the last column leaves nothing to scan
+    # the last column holds the only pivot of rows 0 and 1
     rows = [{2: 1}, {2: 2}, {0: 1, 1: 1}]
     assert _rows_rank_mod_p(rows, 3, 7) == 2
     assert _rows_rank_mod_p(_transpose(rows, 3), 3, 7) == 2
+
+
+@pytest.mark.parametrize(
+    "rows, ncols, rank",
+    [
+        # the pivot row of column 0 is nonzero in column 1
+        ([{0: 1, 1: 1}], 2, 1),
+        ([{0: 1, 1: 1}, {0: 2, 1: 2}], 2, 1),
+        ([{0: 3, 2: 5, 4: 1}, {0: 6, 2: 10, 4: 2}, {1: 1, 4: 1}], 5, 2),
+        # row 0 clears row 1 to (0, -1, 0), which then clears row 2
+        ([{0: 1, 1: 1, 2: 1}, {0: 1, 2: 1}, {1: 1}], 3, 2),
+        ([{0: 1, 1: 2, 3: 1}, {0: 2, 1: 4, 2: 1, 3: 2}, {2: 1, 3: 1}, {3: 3}], 4, 3),
+    ],
+)
+def test_rank_mod_p_drops_each_pivot_row(rows, ncols, rank):
+    # a used pivot row that stays nonzero in later columns must not pivot
+    # again, and the rows it clears are cleared on its whole support
+    for p in (7, _RANK_PRIMES[0]):
+        assert _rows_rank_mod_p(rows, ncols, p) == rank
+        assert _rows_rank_mod_p(_transpose(rows, ncols), len(rows), p) == rank
+        assert _reference_rank_mod_p(rows, ncols, p) == rank
+    assert _rank_exact(rows, ncols) == rank
 
 
 def _signed_key(row):
